@@ -4,8 +4,8 @@
 // Each case runs twice — once against LegacyEventQueue (a verbatim copy of
 // the pre-overhaul implementation: lazy-cancellation binary heap over
 // std::function callbacks) and once against the production EventQueue
-// (slab + generation-stamped ids, index-tracked 4-ary heap, hierarchical
-// timer wheel, InlineCallback). The legacy copy lives only here, as the
+// (slab + generation-stamped ids, index-tracked 4-ary heap,
+// InlineCallback). The legacy copy lives only here, as the
 // permanent measurement baseline; the speedup is the ratio of the paired
 // rows. Headline targets from the overhaul issue: >=3x on cancel_heavy,
 // >=1.5x on mixed schedule/fire.
@@ -137,7 +137,7 @@ typename Q::Callback MakeCallback(uint64_t* sink) {
 // Mixed-horizon delay, ns: the distribution the storage stack generates.
 // 10% immediate, 40% short (50us-2ms: disk service, hedge delays), 40%
 // medium (2-500ms: SCSI timeouts, detector periods), 10% far (30-300s:
-// availability horizons) — the far tail lands beyond the wheel horizon.
+// availability horizons).
 int64_t MixedDelayNs(Rng& rng) {
   const double u = rng.UniformDouble();
   if (u < 0.10) {
@@ -155,7 +155,9 @@ int64_t MixedDelayNs(Rng& rng) {
 // ------------------------------------------------------------ schedule/fire
 // Steady state at `live` pending events, mixed-horizon delays: pop the
 // earliest event, fire it, schedule a replacement. One item = one
-// pop+fire+push cycle.
+// pop+fire+push cycle. 64 and 256 bracket the pending sets real workloads
+// keep (tens of events on average, a few hundred at most); 1024 and 16384
+// are stress sizes.
 template <typename Q>
 void BM_ScheduleFire(benchmark::State& state) {
   const int64_t live = state.range(0);
@@ -249,8 +251,8 @@ void BM_HedgeStorm(benchmark::State& state) {
 }
 
 // ------------------------------------------------------------ mixed horizon
-// Fill-then-drain across the full delay spectrum, stressing wheel overflow
-// and heap/wheel interleaving. One item = one scheduled+fired event.
+// Fill-then-drain across the full delay spectrum: a deep heap built in one
+// go and emptied in order. One item = one scheduled+fired event.
 template <typename Q>
 void BM_MixedHorizonFillDrain(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -300,9 +302,9 @@ void BM_SimulatorSelfRefill(benchmark::State& state) {
 }
 
 BENCHMARK_TEMPLATE(BM_ScheduleFire, LegacyEventQueue)
-    ->Name("schedule_fire/legacy")->Arg(1024)->Arg(16384);
+    ->Name("schedule_fire/legacy")->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
 BENCHMARK_TEMPLATE(BM_ScheduleFire, EventQueue)
-    ->Name("schedule_fire/new")->Arg(1024)->Arg(16384);
+    ->Name("schedule_fire/new")->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
 
 BENCHMARK_TEMPLATE(BM_CancelHeavy, LegacyEventQueue)
     ->Name("cancel_heavy/legacy")->Arg(1024)->Arg(16384);
@@ -320,7 +322,7 @@ BENCHMARK_TEMPLATE(BM_MixedHorizonFillDrain, EventQueue)
     ->Name("mixed_horizon/new")->Arg(65536);
 
 BENCHMARK(BM_SimulatorSelfRefill)
-    ->Name("simulator_self_refill")->Arg(4096);
+    ->Name("simulator_self_refill")->Arg(64)->Arg(256)->Arg(4096);
 
 }  // namespace
 }  // namespace fst

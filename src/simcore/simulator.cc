@@ -10,7 +10,13 @@ EventId Simulator::Schedule(Duration delay, Callback cb) {
   if (delay.IsNegative()) {
     delay = Duration::Zero();
   }
-  return queue_.Push(now_ + delay, std::move(cb));
+  // Saturate instead of wrapping: a far-future delay must not land in the
+  // past and run the clock backwards.
+  int64_t when = 0;
+  if (__builtin_add_overflow(now_.nanos(), delay.nanos(), &when)) {
+    when = SimTime::Max().nanos();
+  }
+  return queue_.Push(SimTime(when), std::move(cb));
 }
 
 EventId Simulator::ScheduleAt(SimTime when, Callback cb) {

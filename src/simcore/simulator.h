@@ -28,7 +28,8 @@ class Simulator {
   using Callback = EventQueue::Callback;
 
   // Schedules `cb` to run `delay` from now. Negative delays are clamped to
-  // zero (fires this instant, after already-scheduled same-time events).
+  // zero (fires this instant, after already-scheduled same-time events);
+  // a delay past the end of time saturates at SimTime::Max().
   EventId Schedule(Duration delay, Callback cb);
   EventId ScheduleAt(SimTime when, Callback cb);
   bool Cancel(EventId id);

@@ -202,6 +202,19 @@ TEST(EventQueueTest, CancelPreventsFiring) {
   EXPECT_FALSE(fired);
 }
 
+TEST(EventQueueTest, CancelDestroysCallbackAtOnce) {
+  // A cancelled event's captures are released by Cancel itself, not when
+  // its slot is next reused.
+  EventQueue q;
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  const EventId id = q.Push(SimTime(10), [token]() {});
+  token.reset();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(q.Cancel(id));
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST(EventQueueTest, CancelInvalidIdFails) {
   EventQueue q;
   EXPECT_FALSE(q.Cancel(EventId{}));
@@ -285,8 +298,8 @@ TEST(EventQueueTest, StaleHandleAfterFireCannotCancelReusedSlot) {
 }
 
 TEST(EventQueueTest, FarFutureOverflowOrdering) {
-  // Events beyond the timer wheel's ~17 s horizon overflow to the heap;
-  // they must still interleave with near events in strict time order.
+  // Events tens of seconds out, pushed around a near one, must still
+  // interleave with it in strict time order.
   EventQueue q;
   std::vector<int> order;
   q.Push(SimTime(int64_t{25} * 1'000'000'000), [&]() { order.push_back(3); });
@@ -300,17 +313,17 @@ TEST(EventQueueTest, FarFutureOverflowOrdering) {
 }
 
 TEST(EventQueueTest, SameTimeAcrossStructuresKeepsFifo) {
-  // A lands at T while T is beyond the horizon (heap); after time
-  // advances, B lands at the same T inside the wheel. FIFO on the
-  // sequence number must hold across the two structures.
+  // A lands at T far in the future; after time advances past an earlier
+  // pop, B lands at the same T. FIFO on the sequence number must hold
+  // however far apart in time the two pushes were made.
   EventQueue q;
   const SimTime t(int64_t{20} * 1'000'000'000);
   std::vector<char> order;
-  q.Push(t, [&]() { order.push_back('a'); });      // overflow -> heap
+  q.Push(t, [&]() { order.push_back('a'); });
   q.Push(SimTime(int64_t{5} * 1'000'000'000), [&]() { order.push_back('f'); });
-  auto filler = q.Pop();  // drains the wheel up to ~5 s
+  auto filler = q.Pop();  // advances to 5 s
   filler->cb();
-  q.Push(t, [&]() { order.push_back('b'); });      // now within horizon
+  q.Push(t, [&]() { order.push_back('b'); });
   while (auto e = q.Pop()) {
     e->cb();
   }
@@ -346,9 +359,9 @@ TEST(EventQueueTest, LiveSizeExactUnderChurn) {
 }
 
 // Differential test: random push/cancel/pop against a reference model
-// (ordered map keyed on (time, seq)). Exercises wheel/heap placement,
-// bucket drains, redistribution, cross-structure ties, and direct
-// removal from every structure.
+// (ordered map keyed on (time, seq)). Exercises delays from zero (ties)
+// to a minute, same-time FIFO, and direct removal from anywhere in the
+// heap.
 TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
   EventQueue q;
   std::map<std::pair<int64_t, uint64_t>, int> reference;  // -> tag
@@ -366,11 +379,11 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
       if (kind < 0.15) {
         delay = 0;  // immediate (ties!)
       } else if (kind < 0.55) {
-        delay = rng.UniformInt(1, 2'000'000);  // short: wheel L0/L1
+        delay = rng.UniformInt(1, 2'000'000);  // short
       } else if (kind < 0.90) {
         delay = rng.UniformInt(2'000'000, 2'000'000'000);  // medium
       } else {
-        delay = rng.UniformInt(17'000'000'000, 60'000'000'000);  // overflow
+        delay = rng.UniformInt(17'000'000'000, 60'000'000'000);  // far
       }
       const int64_t when = now + delay;
       const int t = tag++;
@@ -560,6 +573,29 @@ TEST(SimulatorTest, NegativeDelayClampsToNow) {
   EXPECT_TRUE(fired);
   // Clamped to the scheduling instant, never into the past.
   EXPECT_EQ(fired_at.nanos(), Duration::Millis(1).nanos());
+}
+
+TEST(SimulatorTest, MaxDelaySaturatesInsteadOfWrapping) {
+  // now + Duration::Max() overflows int64; it must land at the end of
+  // time, after a short sibling, and the clock must never run backwards.
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<int64_t> clock;
+  sim.Schedule(Duration::Nanos(10), [&] {
+    sim.Schedule(Duration::Max(), [&] {
+      order.push_back(2);
+      clock.push_back(sim.Now().nanos());
+    });
+    sim.Schedule(Duration::Nanos(5), [&] {
+      order.push_back(1);
+      clock.push_back(sim.Now().nanos());
+    });
+    clock.push_back(sim.Now().nanos());
+  });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(std::is_sorted(clock.begin(), clock.end()));
+  EXPECT_EQ(sim.Now(), SimTime::Max());
 }
 
 TEST(SimulatorTest, NegativeScheduleAtClampsToNow) {
@@ -1123,15 +1159,14 @@ TEST(TickArenaTest, OversizedRequestGetsItsOwnChunk) {
   EXPECT_GE(arena.high_water(), 8000u);
 }
 
-// ------------------------------------------------- event queue due ring
+// ------------------------------------------- event queue same-time order
 
-TEST(EventQueueDueRingTest, CancelInDueRingIsSkippedWithoutReordering) {
+TEST(EventQueueOrderTest, CancelOfSameTimeSiblingKeepsOrder) {
   Simulator sim;
   std::vector<int> fired;
-  // Three events inside one level-0 wheel window, plus one later event.
-  // Popping the first drains the whole window into the due ring; the
-  // middle entry is then cancelled *while in the ring* and must be
-  // skipped without disturbing the order of its neighbors.
+  // Three events at one instant, plus one later event. After the first
+  // fires, the middle one is cancelled and must vanish without
+  // disturbing the order of its neighbors.
   sim.Schedule(Duration::Micros(50), [&] { fired.push_back(1); });
   EventId doomed =
       sim.Schedule(Duration::Micros(50), [&] { fired.push_back(2); });
@@ -1145,13 +1180,13 @@ TEST(EventQueueDueRingTest, CancelInDueRingIsSkippedWithoutReordering) {
   EXPECT_EQ(fired, (std::vector<int>{1, 3, 4}));
 }
 
-TEST(EventQueueDueRingTest, ZeroDelayPushBeatsDueEntryAtLaterTime) {
+TEST(EventQueueOrderTest, ZeroDelayPushBeatsPendingLaterEntry) {
   Simulator sim;
   std::vector<int> fired;
   sim.Schedule(Duration::Micros(20), [&] {
     fired.push_back(1);
-    // Scheduled mid-run at now+0: must fire before the 25 us event even
-    // though that one is already staged in the due ring.
+    // Scheduled mid-run at now+0: must fire before the 25 us event that
+    // was pending first.
     sim.Schedule(Duration::Zero(), [&] { fired.push_back(2); });
   });
   sim.Schedule(Duration::Micros(25), [&] { fired.push_back(3); });
