@@ -19,6 +19,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -284,8 +285,8 @@ void BM_ClientOpCoreLegacy(benchmark::State& state) {
 BENCHMARK(BM_ClientOpCoreLegacy)->Unit(benchmark::kMillisecond);
 
 // Columnar shape: windowed SoA arrivals walked by the BatchSequencer's
-// inline events, slab op rows, completions coalesced through the ring and
-// batch-fed to the SloTracker.
+// inline events, slab op rows, and each completion delivered inline: SLO
+// recorded at completion, then the op row's two-word callback run.
 void BM_ClientOpCoreColumnar(benchmark::State& state) {
   int64_t issued = 0;
   for (auto _ : state) {
@@ -299,9 +300,8 @@ void BM_ClientOpCoreColumnar(benchmark::State& state) {
     ArrivalGenerator gen(sim, fp, ArrivalMode::kPoisson, {}, 0);
     ArrivalBatch batch;
     OpTable ops;
-    CompletionRing ring;
-    std::vector<CompletionRecord> drained;
     SloTracker slo(Duration::Millis(300));
+    int64_t ok = 0;
     const SimTime horizon = sim.Now() + fp.run_for;
     BatchSequencer seq(sim);
     seq.Start(
@@ -309,25 +309,28 @@ void BM_ClientOpCoreColumnar(benchmark::State& state) {
         [&](size_t i) {
           slo.RecordArrival();
           const OpTable::Id id = ops.Allocate();
-          const int64_t slot = ops.SlotOf(id);
-          ops.key[static_cast<size_t>(slot)] = batch.key[i];
-          ops.t0[static_cast<size_t>(slot)] = sim.Now();
-          CompletionRecord r;
-          r.issued = sim.Now();
-          r.completed = sim.Now() + Duration::Micros(50);
-          ring.Append(r);
+          const auto slot = static_cast<size_t>(ops.SlotOf(id));
+          ops.key[slot] = batch.key[i];
+          ops.t0[slot] = sim.Now();
+          const uint32_t client = batch.client[i];
+          ops.done[slot] = [&ok, client](const IoResult& r) {
+            benchmark::DoNotOptimize(client);
+            ok += r.ok ? 1 : 0;
+          };
+          IoCallback done = std::move(ops.done[slot]);
           ops.Free(id);
+          slo.RecordAck(Duration::Micros(50), 1);
+          IoResult r;
+          r.ok = true;
+          done(r);
           ++issued;
         },
         [&]() -> size_t {
-          ring.SwapDrain(drained);
-          slo.RecordBatch(drained.data(), drained.size());
           gen.FillWindow(batch, 4096, horizon);
           return batch.size();
         });
     sim.Run();
-    ring.SwapDrain(drained);
-    slo.RecordBatch(drained.data(), drained.size());
+    benchmark::DoNotOptimize(ok);
   }
   state.SetItemsProcessed(issued);
 }
@@ -410,7 +413,7 @@ void BM_FleetServeE22(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetServeE22)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// A population of attributed clients: every op tagged, per-client tallies
+// A population of attributed clients: every op carries a client id, tallies
 // folded into ClientDigest. Cost per op must stay flat as clients grow —
 // the attribution plane is O(population) memory, O(1) per op.
 void BM_FleetManyClients(benchmark::State& state) {

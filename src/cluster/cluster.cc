@@ -132,8 +132,7 @@ uint64_t KvService::BeginTrace(SimTime now) {
   return id;
 }
 
-OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, bool tagged,
-                               uint64_t tag, IoCallback done) {
+OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, IoCallback done) {
   const SimTime t0 = sim_.Now();
   if (is_read) {
     ++reads_;
@@ -150,9 +149,7 @@ OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, bool tagged,
   ops_.key[slot] = key;
   ops_.t0[slot] = t0;
   ops_.trace_id[slot] = BeginTrace(t0);
-  ops_.tag[slot] = tag;
-  ops_.flags[slot] = static_cast<uint8_t>((is_read ? OpTable::kIsRead : 0) |
-                                          (tagged ? OpTable::kTagged : 0));
+  ops_.flags[slot] = static_cast<uint8_t>(is_read ? OpTable::kIsRead : 0);
   if (!is_read) {
     ops_.version[slot] = next_version_++;
   }
@@ -167,28 +164,10 @@ void KvService::FinishOp(OpTable::Id id, bool ok) {
   const uint64_t trace_id = ops_.trace_id[slot];
   const uint8_t flags = ops_.flags[slot];
   const int attempts = std::max<int>(ops_.attempts[slot], 1);
-  const uint64_t tag = ops_.tag[slot];
   IoCallback done = std::move(ops_.done[slot]);
   ops_.Free(id);
   --in_flight_;
-  if ((flags & OpTable::kTagged) != 0) {
-    // Coalesced delivery: outcome rides the ring to the next drain; the
-    // shed counter stays inline because it is service state, not SLO state.
-    CompletionRecord rec;
-    rec.tag = tag;
-    rec.issued = t0;
-    rec.completed = now;
-    rec.attempts = attempts;
-    if (ok) {
-      rec.outcome = SloOutcome::kAck;
-    } else if ((flags & OpTable::kAdmittedAny) == 0) {
-      ++sheds_;
-      rec.outcome = SloOutcome::kShed;
-    } else {
-      rec.outcome = SloOutcome::kError;
-    }
-    completions_.Append(rec);
-  } else if (ok) {
+  if (ok) {
     slo_.RecordAck(now - t0, attempts);
   } else if ((flags & OpTable::kAdmittedAny) == 0) {
     ++sheds_;
@@ -197,17 +176,8 @@ void KvService::FinishOp(OpTable::Id id, bool ok) {
     slo_.RecordError(attempts);
   }
   if (recorder_ != nullptr && trace_id != 0) {
-    if ((flags & OpTable::kTagged) != 0) {
-      // Coalesced delivery extends to tracing: the row is staged and
-      // rides the next drain's bulk append instead of paying a ring
-      // cursor round-trip per completion.
-      trace_scratch_.push_back(
-          TraceEvent{now, EventKind::kRequestComplete, trace_comp_, 0, -1,
-                     trace_id, 0.0, static_cast<double>((now - t0).nanos())});
-    } else {
-      recorder_->RequestComplete(now, trace_comp_, trace_id, -1,
-                                 Duration::Zero(), now - t0);
-    }
+    recorder_->RequestComplete(now, trace_comp_, trace_id, -1,
+                               Duration::Zero(), now - t0);
   }
   if (done) {
     IoResult r;
@@ -216,16 +186,6 @@ void KvService::FinishOp(OpTable::Id id, bool ok) {
     r.completed = now;
     done(r);
   }
-}
-
-const std::vector<CompletionRecord>& KvService::DrainCompletions() {
-  if (!trace_scratch_.empty()) {
-    recorder_->RecordN(trace_scratch_.data(), trace_scratch_.size());
-    trace_scratch_.clear();
-  }
-  completions_.SwapDrain(drained_);
-  slo_.RecordBatch(drained_.data(), drained_.size());
-  return drained_;
 }
 
 void KvService::AttemptFailed(OpTable::Id id, bool admitted_this_attempt) {
@@ -482,12 +442,7 @@ void KvService::OnAttemptComplete(const AttemptCtx& ctx, bool ok) {
 }
 
 void KvService::Get(uint64_t key, IoCallback done) {
-  StartReadAttempt(BeginOp(key, /*is_read=*/true, /*tagged=*/false, 0,
-                           std::move(done)));
-}
-
-void KvService::GetTagged(uint64_t key, uint64_t tag) {
-  StartReadAttempt(BeginOp(key, /*is_read=*/true, /*tagged=*/true, tag, {}));
+  StartReadAttempt(BeginOp(key, /*is_read=*/true, std::move(done)));
 }
 
 void KvService::StartReadAttempt(OpTable::Id id) {
@@ -620,12 +575,7 @@ void KvService::IssueHedged(const std::vector<int>& ranked, OpTable::Id id) {
 }
 
 void KvService::Put(uint64_t key, IoCallback done) {
-  StartWriteAttempt(BeginOp(key, /*is_read=*/false, /*tagged=*/false, 0,
-                            std::move(done)));
-}
-
-void KvService::PutTagged(uint64_t key, uint64_t tag) {
-  StartWriteAttempt(BeginOp(key, /*is_read=*/false, /*tagged=*/true, tag, {}));
+  StartWriteAttempt(BeginOp(key, /*is_read=*/false, std::move(done)));
 }
 
 void KvService::StartWriteAttempt(OpTable::Id id) {

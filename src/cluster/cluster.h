@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/cluster/admission.h"
-#include "src/cluster/fleet/completion.h"
 #include "src/cluster/fleet/op_table.h"
 #include "src/cluster/retry.h"
 #include "src/cluster/selector.h"
@@ -152,15 +151,12 @@ class KvService {
 
   // Writes fan out to every replica of the key; `done` fires at the
   // write_quorum-th success (or with failure once no quorum is reachable).
+  //
+  // Both ops deliver their outcome inline: SLO accounting and trace close
+  // happen at the completing event, then `done` runs. A caller that keeps
+  // its capture within std::function's local buffer (two words) pays no
+  // per-op allocation.
   void Put(uint64_t key, IoCallback done);
-
-  // Columnar front-end variants: identical routing, retries, and event
-  // schedule as Get/Put, but the terminal outcome is appended to the
-  // completion ring (carrying `tag`, caller context such as a client id)
-  // instead of invoking a per-op callback, and SLO accounting is deferred
-  // to the next DrainCompletions() — zero per-op allocation end to end.
-  void GetTagged(uint64_t key, uint64_t tag);
-  void PutTagged(uint64_t key, uint64_t tag);
 
   // Pure prefetch: warms the shard-route lookup for `key` so an issue
   // loop that knows its next key hides the miss behind the current op.
@@ -168,13 +164,9 @@ class KvService {
     shard_map_.PrefetchSegmentOf(key);
   }
 
-  // Drains the completion ring in FIFO (= completion) order: feeds every
-  // record through SloTracker::RecordBatch, then hands the batch to the
-  // caller for its own tallies. The returned reference is valid until the
-  // next drain; the two backing buffers ping-pong without reallocating.
-  const std::vector<CompletionRecord>& DrainCompletions();
-  // Tagged ops whose terminal outcome has not been drained yet.
-  size_t pending_completions() const { return completions_.size(); }
+  // Completions are delivered inline, so none is ever pending. Kept for
+  // the perfbench fleet workload, which asserts it is zero after a run.
+  size_t pending_completions() const { return 0; }
   // In-flight logical ops (arrived, not yet terminal).
   size_t in_flight_ops() const { return ops_.live(); }
 
@@ -284,13 +276,12 @@ class KvService {
     uint8_t mirror = 0;      // writes: non-primary replica
   };
 
-  // Arrival bookkeeping shared by Get/Put/GetTagged/PutTagged: counters,
-  // SLO arrival, retry token, trace span, and a freshly allocated op row.
-  OpTable::Id BeginOp(uint64_t key, bool is_read, bool tagged, uint64_t tag,
-                      IoCallback done);
+  // Arrival bookkeeping shared by Get/Put: counters, SLO arrival, retry
+  // token, trace span, and a freshly allocated op row.
+  OpTable::Id BeginOp(uint64_t key, bool is_read, IoCallback done);
 
-  // Logical-op completion: SLO accounting (or ring append for tagged ops) +
-  // trace span close + slot free + user done. `id` must be live.
+  // Logical-op completion: SLO accounting + trace span close + slot free +
+  // user done. `id` must be live.
   void FinishOp(OpTable::Id id, bool ok);
 
   // One admitted attempt against ctx.node: request over the switch,
@@ -363,15 +354,8 @@ class KvService {
   std::map<std::string, int> name_to_index_;
   ControlRoute control_route_;
 
-  // Columnar op core: slab table of in-flight ops + completion ring for
-  // tagged (coalesced-delivery) ops.
+  // Columnar op core: slab table of in-flight ops.
   OpTable ops_;
-  CompletionRing completions_;
-  std::vector<CompletionRecord> drained_;
-  // Tagged-op trace rows staged between drains and bulk-appended to the
-  // recorder ring in one RecordN call per tick (recorder-on runs only) —
-  // same events, one ring transaction instead of one per completion.
-  std::vector<TraceEvent> trace_scratch_;
 
   // Hot-path caches: per-node registry channels (skip the name hash on
   // every observation), one reusable DepthFn, and ranking scratch buffers

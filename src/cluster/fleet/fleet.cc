@@ -9,6 +9,12 @@ namespace {
 
 ColumnarFleetParams Validate(ColumnarFleetParams p) {
   ValidateFleetParams(p.base);
+  if (!p.base.surges.empty()) {
+    // ArrivalGenerator draws at the base rate only; silently dropping the
+    // surges would run a different experiment than the one asked for.
+    throw std::invalid_argument(
+        "ColumnarFleet does not support FleetParams.surges");
+  }
   if (p.window < 1) {
     throw std::invalid_argument("ColumnarFleetParams.window must be >= 1");
   }
@@ -54,9 +60,6 @@ void ColumnarFleet::Run(KvService& service,
 }
 
 size_t ColumnarFleet::Refill() {
-  // Refill boundaries are the coalescing points: absorb everything that
-  // completed during the previous window before generating the next one.
-  DrainTick();
   gen_.FillWindow(batch_, params_.window, horizon_);
   if (batch_.size() == 0) {
     arrivals_done_ = true;
@@ -70,7 +73,7 @@ void ColumnarFleet::IssueAt(size_t i) {
   ++result_.ops_issued;
   ++pending_;
   const uint64_t key = batch_.key[i];
-  const uint64_t tag = batch_.client[i];
+  const uint32_t client = batch_.client[i];
   if (!tallies_.empty()) {
     // A million-client tally array is a guaranteed cache miss per op; the
     // next window entries' client ids are already columnar, so start their
@@ -81,50 +84,40 @@ void ColumnarFleet::IssueAt(size_t i) {
     if (i + 2 < batch_.client.size()) {
       __builtin_prefetch(&tallies_[batch_.client[i + 2]], 1);
     }
-    ++tallies_[tag].issued;
+    ++tallies_[client].issued;
   }
   if (i + 1 < batch_.key.size()) {
     service_->PrefetchRoute(batch_.key[i + 1]);
   }
-  if (batch_.is_read[i] != 0) {
-    ++result_.reads_issued;
-    service_->GetTagged(key, tag);
-  } else {
-    ++result_.writes_issued;
-    service_->PutTagged(key, tag);
-  }
-}
-
-void ColumnarFleet::DrainTick() {
-  const std::vector<CompletionRecord>& recs = service_->DrainCompletions();
-  for (size_t j = 0; j < recs.size(); ++j) {
-    const CompletionRecord& r = recs[j];
-    if (!tallies_.empty() && j + 8 < recs.size()) {
-      // Same trick as IssueAt: completion tags are random client ids, so
-      // walk 8 records ahead of the tally updates.
-      __builtin_prefetch(&tallies_[recs[j + 8].tag], 1);
-    }
-    const bool ok = r.outcome == SloOutcome::kAck;
-    if (ok) {
+  // Two words of capture: fits std::function's local buffer, so issuing
+  // an op allocates nothing.
+  auto complete = [this, client](const IoResult& r) {
+    if (r.ok) {
       ++result_.ops_ok;
     } else {
       ++result_.ops_failed;
     }
     if (!tallies_.empty()) {
-      ClientTally& t = tallies_[r.tag];
-      if (ok) {
+      ClientTally& t = tallies_[client];
+      if (r.ok) {
         ++t.ok;
       } else {
         ++t.failed;
       }
     }
     --pending_;
+  };
+  if (batch_.is_read[i] != 0) {
+    ++result_.reads_issued;
+    service_->Get(key, complete);
+  } else {
+    ++result_.writes_issued;
+    service_->Put(key, complete);
   }
 }
 
 void ColumnarFleet::TailTick() {
-  DrainTick();
-  if (pending_ == 0 && service_->pending_completions() == 0) {
+  if (pending_ == 0) {
     Finish();
     return;
   }

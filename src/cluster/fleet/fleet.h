@@ -1,12 +1,14 @@
 // The columnar open-loop serving front end.
 //
 // ColumnarFleet is the batched replacement for ClientFleet: arrivals are
-// generated a window at a time into SoA columns (ArrivalGenerator), one
-// BatchSequencer event walks the window issuing tagged ops against the
-// KvService's slab op table, and terminal outcomes come back coalesced —
-// the service appends CompletionRecords to its ring and the fleet drains
-// them once per window refill (plus a tail tick after arrivals end), batch-
-// feeding the SloTracker and its own tallies.
+// generated a window at a time into SoA columns (ArrivalGenerator), and one
+// BatchSequencer event walks the window issuing ops against the KvService's
+// slab op table. Terminal outcomes come back inline, through the same
+// per-op callback ClientFleet uses: the service records SLO outcomes at the
+// completing event and the fleet's two-word callback bumps its result and
+// the issuing client's tally, so mid-run SloTracker readers (the burn
+// alerter, verdict samplers) see current counts. A tail tick after
+// arrivals end resolves the run once nothing is pending.
 //
 // Determinism contract (pinned by tests/fleet_test.cc):
 //   * In kPoisson mode the arrival times, keys, and op kinds are
@@ -15,8 +17,9 @@
 //     legacy per-event path byte for byte. The simulator's fire_digest
 //     differs — the event *structure* is different by design — so the
 //     batched path carries its own pinned digest.
-//   * Coalescing only defers SLO accounting; drains replay completions in
-//     completion order, so even the latency histogram's float sum matches.
+//   * SLO outcomes are recorded in completion order at completion time,
+//     exactly as under ClientFleet, so even the latency histogram's float
+//     sum matches.
 //   * With num_clients > 0 every arrival is attributed to a client drawn
 //     from an independent stream; per-client tallies feed ClientDigest(),
 //     a scale-visible determinism witness for million-client cells.
@@ -42,14 +45,14 @@ namespace fst {
 
 struct ColumnarFleetParams {
   FleetParams base;
-  // Arrivals generated per refill; the coalescing grain.
+  // Arrivals generated per refill; the batching grain.
   size_t window = 4096;
   // 0 = anonymous (bit-parity with ClientFleet's fork count); > 0 models a
   // population of independent clients whose ids tag every op.
   uint32_t num_clients = 0;
   ArrivalMode mode = ArrivalMode::kPoisson;
   std::vector<MmppPhase> phases;  // kMmpp only; cycled round-robin
-  // Tail-drain cadence once arrivals end (bounds how long after the last
+  // Tail-tick cadence once arrivals end (bounds how long after the last
   // completion the run resolves).
   Duration drain_every = Duration::Millis(10);
 };
@@ -63,13 +66,13 @@ struct ClientTally {
 
 class ColumnarFleet {
  public:
-  // Validates params (throws std::invalid_argument) and forks the arrival
-  // and key streams in ClientFleet's order.
+  // Validates params (throws std::invalid_argument; arrival surges are not
+  // supported and rejected) and forks the arrival and key streams in
+  // ClientFleet's order.
   ColumnarFleet(Simulator& sim, ColumnarFleetParams params);
 
-  // Issues tagged arrivals against `service` until base.run_for elapses,
-  // then resolves `done` once every issued op has completed and every
-  // completion has been drained into the SloTracker.
+  // Issues arrivals against `service` until base.run_for elapses, then
+  // resolves `done` once every issued op has completed.
   void Run(KvService& service, std::function<void(const FleetResult&)> done);
 
   const FleetResult& result() const { return result_; }
@@ -82,7 +85,6 @@ class ColumnarFleet {
  private:
   size_t Refill();
   void IssueAt(size_t i);
-  void DrainTick();
   void TailTick();
   void Finish();
 

@@ -34,8 +34,7 @@ class OpTable {
   // Per-op flag bits (flags column).
   static constexpr uint8_t kIsRead = 1 << 0;
   static constexpr uint8_t kAdmittedAny = 1 << 1;
-  static constexpr uint8_t kTagged = 1 << 2;      // completion-ring delivery
-  static constexpr uint8_t kWaReported = 1 << 3;  // current write attempt done
+  static constexpr uint8_t kWaReported = 1 << 2;  // current write attempt done
 
   // O(1): pops the free list or appends one row to every column. Per-op
   // fields come back zeroed; the caller fills what it needs.
@@ -48,7 +47,6 @@ class OpTable {
       version[slot] = 0;
       t0[slot] = SimTime::Zero();
       trace_id[slot] = 0;
-      tag[slot] = 0;
       attempts[slot] = 0;
       flags[slot] = 0;
       wa_dispatched[slot] = 0;
@@ -62,7 +60,6 @@ class OpTable {
       version.push_back(0);
       t0.push_back(SimTime::Zero());
       trace_id.push_back(0);
-      tag.push_back(0);
       attempts.push_back(0);
       flags.push_back(0);
       wa_dispatched.push_back(0);
@@ -109,7 +106,6 @@ class OpTable {
   std::vector<uint64_t> version;   // writes: the version this op installs
   std::vector<SimTime> t0;
   std::vector<uint64_t> trace_id;
-  std::vector<uint64_t> tag;       // tagged ops: caller context (client id)
   std::vector<int32_t> attempts;
   std::vector<uint8_t> flags;
   // Current write attempt's quorum bookkeeping (reset per attempt).
@@ -117,7 +113,7 @@ class OpTable {
   std::vector<int16_t> wa_completed;
   std::vector<int16_t> wa_ok;
   std::vector<int16_t> wa_quorum;
-  // Per-op user callback; empty for tagged (ring-delivered) ops.
+  // Per-op completion callback, invoked once when the op turns terminal.
   std::vector<IoCallback> done;
 
  private:

@@ -19,36 +19,6 @@ void EventRecorder::Push(const TraceEvent& e) {
   next_ = (next_ + 1) % capacity_;
 }
 
-void EventRecorder::RecordN(const TraceEvent* es, size_t n) {
-  if (!enabled_ || n == 0) {
-    return;
-  }
-  total_ += n;
-  size_t i = 0;
-  // Fill phase: the ring has not reached capacity yet.
-  if (ring_.size() < capacity_) {
-    const size_t take = std::min(n, capacity_ - ring_.size());
-    ring_.insert(ring_.end(), es, es + take);
-    i = take;
-  }
-  size_t m = n - i;
-  if (m == 0) {
-    return;
-  }
-  // Overwrite phase. m sequential pushes land the LAST min(m, capacity)
-  // events at cursor positions next_ .. next_+m-1 (mod capacity); earlier
-  // ones would be immediately overwritten, so skip them.
-  if (m > capacity_) {
-    i += m - capacity_;
-    next_ = (next_ + (m - capacity_)) % capacity_;
-    m = capacity_;
-  }
-  const size_t first = std::min(m, capacity_ - next_);
-  std::copy(es + i, es + i + first, ring_.begin() + static_cast<long>(next_));
-  std::copy(es + i + first, es + i + m, ring_.begin());
-  next_ = (next_ + m) % capacity_;
-}
-
 std::vector<TraceEvent> EventRecorder::Events() const {
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());

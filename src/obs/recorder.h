@@ -40,11 +40,6 @@ class EventRecorder {
     Push(e);
   }
 
-  // Bulk append: one enabled check and wrap-aware segment copies instead
-  // of n cursor round-trips. Ring contents, total, and drop accounting
-  // end up exactly as if the events had been Record()ed one at a time.
-  void RecordN(const TraceEvent* es, size_t n);
-
   // -- Convenience emitters (all no-ops when disabled) --
 
   void RequestEnqueue(SimTime when, uint16_t component, uint64_t request_id,

@@ -66,11 +66,6 @@ class Histogram {
     ++buckets_[idx];
   }
   void AddDuration(Duration d) { Add(static_cast<double>(d.nanos())); }
-  // Records `n` observations of `value` in O(1): one bucket increment and
-  // sum_ += value * n. Counts, buckets, min/max, and quantiles match n
-  // sequential Add(value) calls exactly; the sum matches whenever
-  // value * n is exact (always true for integer-valued data like nanos).
-  void RecordN(double value, uint64_t n);
   void Merge(const Histogram& o);
   void Reset();
 

@@ -1,5 +1,5 @@
 // Tests for the columnar client/op core: batched arrivals, the slab op
-// table, coalesced completions, and their bit-parity with the legacy
+// table, inline completion delivery, and their bit-parity with the legacy
 // per-event serving front end.
 #include <gtest/gtest.h>
 
@@ -90,156 +90,6 @@ TEST(ZipfGuideTest, ProbabilitiesStillSumToOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram::RecordN
-// ---------------------------------------------------------------------------
-
-TEST(RecordNTest, MatchesRepeatedAddsOnIntegerValues) {
-  Histogram a, b;
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const double v = static_cast<double>(rng.UniformInt(0, 50'000'000));
-    const uint64_t n = static_cast<uint64_t>(rng.UniformInt(1, 17));
-    a.RecordN(v, n);
-    for (uint64_t k = 0; k < n; ++k) {
-      b.Add(v);
-    }
-  }
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.sum(), b.sum());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-  for (const double q : {0.5, 0.95, 0.99, 0.999}) {
-    EXPECT_EQ(a.ValueAtQuantile(q), b.ValueAtQuantile(q)) << q;
-  }
-}
-
-TEST(RecordNTest, ZeroCountIsANoOp) {
-  Histogram h;
-  h.RecordN(123.0, 0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// SloTracker::RecordBatch
-// ---------------------------------------------------------------------------
-
-TEST(RecordBatchTest, MatchesInlineStreamByteForByte) {
-  SloTracker inline_t(Duration::Millis(300));
-  SloTracker batch_t(Duration::Millis(300));
-  Rng rng(11);
-  std::vector<CompletionRecord> recs;
-  for (int i = 0; i < 500; ++i) {
-    CompletionRecord r;
-    r.issued = SimTime::Zero() + Duration::Millis(i);
-    r.completed =
-        r.issued + Duration::Nanos(rng.UniformInt(1000, 900'000'000));
-    r.attempts = static_cast<int32_t>(rng.UniformInt(1, 4));
-    const int64_t kind = rng.UniformInt(0, 9);
-    r.outcome = kind == 0   ? SloOutcome::kShed
-                : kind == 1 ? SloOutcome::kError
-                            : SloOutcome::kAck;
-    recs.push_back(r);
-    inline_t.RecordArrival();
-    batch_t.RecordArrival();
-  }
-  for (const CompletionRecord& r : recs) {
-    switch (r.outcome) {
-      case SloOutcome::kAck:
-        inline_t.RecordAck(r.completed - r.issued, r.attempts);
-        break;
-      case SloOutcome::kShed:
-        inline_t.RecordShed(r.attempts);
-        break;
-      case SloOutcome::kError:
-        inline_t.RecordError(r.attempts);
-        break;
-    }
-  }
-  batch_t.RecordBatch(recs.data(), recs.size());
-  EXPECT_EQ(inline_t.ReportJson(Duration::Seconds(10)),
-            batch_t.ReportJson(Duration::Seconds(10)));
-}
-
-// A deliberately mixed batch — first-try acks, retried acks, exhausted
-// sheds/errors, and first-try failures interleaved — must split the
-// attempt accounting exactly as the scalar calls do, field by field.
-TEST(RecordBatchTest, MixedOutcomeBatchSplitsAttemptAccounting) {
-  SloTracker inline_t(Duration::Millis(100));
-  SloTracker batch_t(Duration::Millis(100));
-  // (attempts, outcome, latency_ms): cycle through every accounting class,
-  // including a late ack (150 ms > 100 ms deadline).
-  struct Row {
-    int attempts;
-    SloOutcome outcome;
-    int64_t latency_ms;
-  };
-  const std::vector<Row> rows = {
-      {1, SloOutcome::kAck, 5},     // first-try ack, in deadline
-      {3, SloOutcome::kAck, 40},    // retried ack
-      {4, SloOutcome::kShed, 0},    // exhausted shed
-      {1, SloOutcome::kShed, 0},    // first-try shed (not exhausted)
-      {2, SloOutcome::kError, 0},   // exhausted error
-      {1, SloOutcome::kAck, 150},   // first-try ack, late
-      {2, SloOutcome::kAck, 150},   // retried ack, late
-      {1, SloOutcome::kError, 0},   // first-try error (not exhausted)
-  };
-  std::vector<CompletionRecord> recs;
-  SimTime t = SimTime::Zero();
-  for (const Row& row : rows) {
-    for (int rep = 0; rep < 7; ++rep) {
-      t = t + Duration::Millis(1);
-      CompletionRecord r;
-      r.issued = t;
-      r.completed = t + Duration::Millis(row.latency_ms);
-      r.attempts = row.attempts;
-      r.outcome = row.outcome;
-      recs.push_back(r);
-      inline_t.RecordArrival();
-      batch_t.RecordArrival();
-    }
-  }
-  for (const CompletionRecord& r : recs) {
-    switch (r.outcome) {
-      case SloOutcome::kAck:
-        inline_t.RecordAck(r.completed - r.issued, r.attempts);
-        break;
-      case SloOutcome::kShed:
-        inline_t.RecordShed(r.attempts);
-        break;
-      case SloOutcome::kError:
-        inline_t.RecordError(r.attempts);
-        break;
-    }
-  }
-  batch_t.RecordBatch(recs.data(), recs.size());
-
-  const SloSnapshot a = inline_t.Snapshot();
-  const SloSnapshot b = batch_t.Snapshot();
-  EXPECT_EQ(b.arrivals, a.arrivals);
-  EXPECT_EQ(b.acks, a.acks);
-  EXPECT_EQ(b.goodput, a.goodput);
-  EXPECT_EQ(b.late, a.late);
-  EXPECT_EQ(b.shed, a.shed);
-  EXPECT_EQ(b.errors, a.errors);
-  EXPECT_EQ(b.first_try_acks, a.first_try_acks);
-  EXPECT_EQ(b.retried_acks, a.retried_acks);
-  EXPECT_EQ(b.exhausted, a.exhausted);
-  EXPECT_EQ(b.retries, a.retries);
-  EXPECT_EQ(b.ack_attempts, a.ack_attempts);
-  EXPECT_EQ(b.shed_attempts, a.shed_attempts);
-  EXPECT_EQ(b.error_attempts, a.error_attempts);
-  // Sanity against hand counts: 7 of each row class.
-  EXPECT_EQ(b.first_try_acks, 14);  // rows 0 and 5
-  EXPECT_EQ(b.retried_acks, 14);    // rows 1 and 6
-  EXPECT_EQ(b.exhausted, 14);       // rows 2 and 4
-  EXPECT_EQ(b.late, 14);            // rows 5 and 6
-  EXPECT_EQ(b.retries, 7 * (2 + 3 + 1 + 1));
-  EXPECT_EQ(b.p50_ms, a.p50_ms);
-  EXPECT_EQ(b.p99_ms, a.p99_ms);
-}
-
-// ---------------------------------------------------------------------------
 // FleetParams validation + run_for == 0 edges
 // ---------------------------------------------------------------------------
 
@@ -277,6 +127,12 @@ TEST(FleetValidationTest, RejectsDegenerateParams) {
   EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
   cfp = ColumnarFleetParams{};
   cfp.base.arrivals_per_sec = 0.0;  // base params validated too
+  EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
+  cfp = ColumnarFleetParams{};
+  // Valid for ClientFleet, but the batched generator has no surge model:
+  // rejected rather than silently run at the base rate.
+  cfp.base.surges = {{Duration::Seconds(1.0), Duration::Seconds(2.0), 3.0}};
+  EXPECT_NO_THROW(ClientFleet(sim, cfp.base));
   EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
 }
 
@@ -414,6 +270,10 @@ struct CellCfg {
   bool retry = false;
   uint32_t num_clients = 0;
   size_t window = 512;
+  // Live plane on + telemetry ticks armed; RunCell then also samples the
+  // SloTracker at every probe instant while the run is in flight.
+  bool live = false;
+  std::vector<double> probe_s;
 };
 
 struct CellOut {
@@ -426,6 +286,8 @@ struct CellOut {
   int reweights = 0;
   uint64_t digest = 0;
   uint64_t client_digest = 0;
+  std::vector<SloSnapshot> probes;  // one per CellCfg::probe_s entry
+  int burn_raised = 0;
 };
 
 CellOut RunCell(const CellCfg& cfg, bool columnar) {
@@ -443,6 +305,7 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
   cp.hedge = HedgeParams{Duration::Millis(60), 1};
   cp.write_quorum = cfg.write_quorum;
   cp.retry.enabled = cfg.retry;
+  cp.live.enabled = cfg.live;
   // Service first, fleet last: both fleets then see identical arrival/key
   // forks, and the columnar fleet's extra client-id fork (drawn after) can
   // shift nothing.
@@ -458,7 +321,19 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
   fp.read_fraction = cfg.read_fraction;
   fp.zipf_s = 1.1;
 
+  if (cfg.live) {
+    svc.StartTelemetry(SimTime::Zero() + Duration::Seconds(cfg.seconds));
+  }
+
   CellOut out;
+  // RunUntil schedules nothing, so probing leaves the event order intact.
+  const auto drive = [&] {
+    for (const double t : cfg.probe_s) {
+      sim.RunUntil(SimTime::Zero() + Duration::Seconds(t));
+      out.probes.push_back(svc.slo().Snapshot());
+    }
+    sim.Run();
+  };
   bool finished = false;
   if (columnar) {
     ColumnarFleetParams cfp;
@@ -470,7 +345,7 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
       out.fleet = r;
       finished = true;
     });
-    sim.Run();
+    drive();
     out.client_digest = fleet.ClientDigest();
   } else {
     ClientFleet fleet(sim, fp);
@@ -478,7 +353,7 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
       out.fleet = r;
       finished = true;
     });
-    sim.Run();
+    drive();
   }
   EXPECT_TRUE(finished) << "fleet did not drain";
   out.slo_json = svc.slo().ReportJson(fp.run_for);
@@ -488,6 +363,9 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
   out.ejections = svc.ejections();
   out.reweights = svc.reweights();
   out.digest = sim.fire_digest();
+  if (svc.live() != nullptr) {
+    out.burn_raised = svc.live()->burn().raised_count();
+  }
   return out;
 }
 
@@ -554,12 +432,44 @@ TEST(ColumnarParityTest, WindowSizeIsBehaviorInvisible) {
   EXPECT_EQ(small.slo_json, big.slo_json);
   EXPECT_EQ(small.fleet.ops_ok, big.fleet.ops_ok);
   EXPECT_EQ(small.digest, big.digest)
-      << "coalescing grain must not change the event schedule";
+      << "batching grain must not change the event schedule";
+}
+
+// Mid-run readers of the SloTracker (the burn alerter's telemetry ticks,
+// resilience verdict samplers) must see the same counts under either
+// front end: completions land in the tracker at the completing event, not
+// at some later batch boundary.
+TEST(ColumnarParityTest, MidRunSloMatchesLegacy) {
+  CellCfg cfg;
+  cfg.seed = 3;
+  cfg.slow_factor = 8.0;  // enough late acks to burn the error budget
+  cfg.live = true;
+  cfg.probe_s = {1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5};
+  const CellOut legacy = RunCell(cfg, /*columnar=*/false);
+  const CellOut col = RunCell(cfg, /*columnar=*/true);
+  ASSERT_EQ(legacy.probes.size(), cfg.probe_s.size());
+  ASSERT_EQ(col.probes.size(), cfg.probe_s.size());
+  for (size_t i = 0; i < cfg.probe_s.size(); ++i) {
+    SCOPED_TRACE("probe at " + std::to_string(cfg.probe_s[i]) + " s");
+    const SloSnapshot& a = legacy.probes[i];
+    const SloSnapshot& b = col.probes[i];
+    EXPECT_GT(a.acks, 0);
+    EXPECT_EQ(b.arrivals, a.arrivals);
+    EXPECT_EQ(b.acks, a.acks);
+    EXPECT_EQ(b.goodput, a.goodput);
+    EXPECT_EQ(b.late, a.late);
+    EXPECT_EQ(b.shed, a.shed);
+    EXPECT_EQ(b.errors, a.errors);
+  }
+  EXPECT_GT(legacy.burn_raised, 0);
+  EXPECT_EQ(col.burn_raised, legacy.burn_raised);
+  EXPECT_EQ(col.slo_json, legacy.slo_json);
+  EXPECT_EQ(col.fleet.ops_ok, legacy.fleet.ops_ok);
 }
 
 // Golden digest of one columnar serving run. The batched path schedules a
 // different event *structure* than the legacy scheduler (sequencer pump +
-// drain ticks), so it carries its own pin; outcome parity with the legacy
+// tail ticks), so it carries its own pin; outcome parity with the legacy
 // path is asserted separately above.
 constexpr uint64_t kColumnarRunDigest = 0x2ce14a73738cb30eULL;
 
@@ -579,14 +489,14 @@ TEST(ColumnarParityTest, ColumnarRunIsBitIdenticalAndPinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Tagged-op trace staging: recorder-on fleet runs flush per drain
+// Request tracing under the columnar fleet
 // ---------------------------------------------------------------------------
 
-// With a recorder attached, every tagged op's completion trace is staged
-// in scratch and bulk-appended at the next drain. The ring must end up
-// with exactly one kRequestComplete per issued op, each joinable to its
-// kRequestEnqueue by request_id — same pairing the unstaged path gave.
-TEST(TraceStagingTest, TaggedCompletionsLandOncePerOpViaBulkAppend) {
+// With a recorder attached, every op's completion trace is recorded inline
+// at the completing event. The ring must end up with exactly one
+// kRequestComplete per issued op, each joinable to its kRequestEnqueue by
+// request_id.
+TEST(ColumnarTraceTest, EveryOpRecordsOneInlineCompletion) {
   Simulator sim(23);
   EventRecorder recorder(1 << 16);
   ClusterParams cp;

@@ -678,39 +678,6 @@ TEST(TelemetryCampaignTest, TelemetrySeedIsSelfDeterministic) {
   EXPECT_EQ(a.gray_spans, b.gray_spans);
 }
 
-// ---------------------------------------------------------------- AddN
-
-TEST(QuantileSketchTest, AddNMatchesSequentialAddsExactly) {
-  QuantileSketch bulk;
-  QuantileSketch seq;
-  Rng rng(31);
-  for (int round = 0; round < 200; ++round) {
-    // Integer values (latency nanos), so value*n is exact and the sums
-    // match bit-for-bit, not just the counts and buckets.
-    const double v = static_cast<double>(rng.UniformInt(1, 5'000'000));
-    const uint64_t n = static_cast<uint64_t>(rng.UniformInt(0, 40));
-    bulk.AddN(v, n);
-    for (uint64_t i = 0; i < n; ++i) {
-      seq.Add(v);
-    }
-  }
-  EXPECT_EQ(bulk.count(), seq.count());
-  EXPECT_EQ(bulk.sum(), seq.sum());
-  EXPECT_EQ(bulk.min(), seq.min());
-  EXPECT_EQ(bulk.max(), seq.max());
-  for (const double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {
-    EXPECT_EQ(bulk.ValueAtQuantile(q), seq.ValueAtQuantile(q)) << q;
-  }
-}
-
-TEST(QuantileSketchTest, AddNZeroIsNoOp) {
-  QuantileSketch s;
-  s.AddN(42.0, 0);
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
 // ------------------------------------------- buffered plane equivalence
 
 // The buffered plane (observations staged between ticks, flushed in bulk)

@@ -380,77 +380,5 @@ TEST(ObsIntegrationTest, SimProfilerSamplesEventLoop) {
   EXPECT_GE(counter_events, 10);
 }
 
-// ---------------------------------------------------------------- RecordN
-
-namespace {
-
-TraceEvent NumberedEvent(int i) {
-  return TraceEvent{SimTime::Zero() + Duration::Micros(i),
-                    EventKind::kCounterSample,
-                    1,
-                    0,
-                    -1,
-                    static_cast<uint64_t>(i),
-                    static_cast<double>(i),
-                    0.0};
-}
-
-// Drives one scalar-Record recorder and one RecordN recorder through the
-// same event stream chopped into chunks, then demands identical ring
-// state: snapshot, totals, drop count.
-void CheckRecordNEquivalence(size_t capacity, const std::vector<size_t>& chunks) {
-  EventRecorder scalar(capacity);
-  EventRecorder bulk(capacity);
-  int next = 0;
-  for (const size_t chunk : chunks) {
-    std::vector<TraceEvent> batch;
-    batch.reserve(chunk);
-    for (size_t i = 0; i < chunk; ++i) {
-      batch.push_back(NumberedEvent(next++));
-    }
-    for (const TraceEvent& e : batch) {
-      scalar.Record(e);
-    }
-    bulk.RecordN(batch.data(), batch.size());
-  }
-  ASSERT_EQ(bulk.size(), scalar.size());
-  EXPECT_EQ(bulk.total_recorded(), scalar.total_recorded());
-  EXPECT_EQ(bulk.dropped(), scalar.dropped());
-  const auto a = scalar.Events();
-  const auto b = bulk.Events();
-  ASSERT_EQ(b.size(), a.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(b[i].request_id, a[i].request_id) << i;
-    EXPECT_EQ(b[i].when.nanos(), a[i].when.nanos()) << i;
-  }
-}
-
-}  // namespace
-
-TEST(RecorderRecordNTest, FillPhaseOnly) {
-  CheckRecordNEquivalence(64, {5, 0, 17, 1});
-}
-
-TEST(RecorderRecordNTest, WrapsAcrossRingBoundary) {
-  CheckRecordNEquivalence(16, {10, 10, 3, 10});
-}
-
-TEST(RecorderRecordNTest, SingleBatchLargerThanCapacity) {
-  CheckRecordNEquivalence(8, {30});
-}
-
-TEST(RecorderRecordNTest, RepeatedOversizedBatches) {
-  CheckRecordNEquivalence(7, {20, 1, 7, 15, 2});
-}
-
-TEST(RecorderRecordNTest, DisabledRecorderIgnoresBatches) {
-  EventRecorder rec(8);
-  rec.set_enabled(false);
-  std::vector<TraceEvent> batch{NumberedEvent(0), NumberedEvent(1)};
-  rec.RecordN(batch.data(), batch.size());
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-}
-
 }  // namespace
 }  // namespace fst

@@ -16,7 +16,6 @@
 #include "src/simcore/stats.h"
 #include "src/simcore/time.h"
 #include "src/simcore/timeseries.h"
-#include "src/simcore/trace.h"
 
 namespace fst {
 namespace {
@@ -888,69 +887,6 @@ TEST(MetricsTest, SnapshotCarriesHistogramStats) {
   EXPECT_GE(h.p95, h.p50);
   EXPECT_GE(h.p99, h.p95);
 }
-
-// ---------------------------------------------------------------- trace
-
-TEST(TraceTest, DisabledByDefault) {
-  Tracer tracer;
-  EXPECT_FALSE(tracer.enabled());
-  // Must not crash with no sink.
-  tracer.Log(SimTime::Zero(), TraceLevel::kInfo, "x", "y");
-}
-
-TEST(TraceTest, CaptureSinkRecords) {
-  Tracer tracer;
-  std::vector<TraceRecord> records;
-  tracer.SetSink(Tracer::CaptureSink(&records));
-  tracer.Log(SimTime(5), TraceLevel::kWarn, "disk0", "slow");
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].component, "disk0");
-  EXPECT_EQ(records[0].level, TraceLevel::kWarn);
-}
-
-TEST(TraceTest, MinLevelFilters) {
-  Tracer tracer;
-  std::vector<TraceRecord> records;
-  tracer.SetSink(Tracer::CaptureSink(&records));
-  tracer.SetMinLevel(TraceLevel::kError);
-  tracer.Log(SimTime(1), TraceLevel::kInfo, "c", "dropped");
-  tracer.Log(SimTime(2), TraceLevel::kError, "c", "kept");
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].message, "kept");
-}
-
-TEST(TraceTest, MinLevelBoundaryIsInclusive) {
-  Tracer tracer;
-  std::vector<TraceRecord> records;
-  tracer.SetSink(Tracer::CaptureSink(&records));
-  tracer.SetMinLevel(TraceLevel::kWarn);
-  tracer.Log(SimTime(1), TraceLevel::kDebug, "c", "below");
-  tracer.Log(SimTime(2), TraceLevel::kInfo, "c", "below");
-  tracer.Log(SimTime(3), TraceLevel::kWarn, "c", "at");
-  tracer.Log(SimTime(4), TraceLevel::kError, "c", "above");
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].message, "at");
-  EXPECT_EQ(records[1].message, "above");
-}
-
-TEST(TraceTest, SinkDisabledFastPathDropsEverything) {
-  Tracer tracer;
-  EXPECT_FALSE(tracer.enabled());
-  // Even max-severity records are dropped with no sink attached, at any
-  // min-level setting — the hot-path check is the sink, not the level.
-  tracer.SetMinLevel(TraceLevel::kDebug);
-  for (int i = 0; i < 1000; ++i) {
-    tracer.Log(SimTime(i), TraceLevel::kError, "c", "dropped");
-  }
-  // Attaching a sink afterwards starts capture from that point only.
-  std::vector<TraceRecord> records;
-  tracer.SetSink(Tracer::CaptureSink(&records));
-  EXPECT_TRUE(tracer.enabled());
-  tracer.Log(SimTime(1001), TraceLevel::kInfo, "c", "first-captured");
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].message, "first-captured");
-}
-
 
 // ---------------------------------------------------------------- timeseries
 
