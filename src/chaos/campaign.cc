@@ -34,7 +34,8 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   cluster.retry.enabled = true;
   cluster.retry.deadline = Duration::Millis(800);
   cluster.recovery.enabled = true;
-  EventRecorder recorder;  // used only on the telemetry path
+  // Used only on the telemetry path, and there only for its fault log.
+  EventRecorder recorder(0);
   if (p.telemetry) {
     cluster.live = p.live;
     cluster.live.enabled = true;
@@ -111,7 +112,7 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
     out.telemetry = true;
     const LivePlane& live = *svc.live();
     const CorrelationReport rep =
-        CorrelateFaultTimeline(recorder.Events(), recorder.components());
+        CorrelateFaultTimeline(recorder.FaultLog(), recorder.components());
     const std::vector<GraySpan> spans = live.expectation().GraySpans();
     out.scorecard = BuildScorecard(rep, spans, end_of_run, p.scorecard);
     out.gray_spans = static_cast<int>(spans.size());

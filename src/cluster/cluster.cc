@@ -771,9 +771,9 @@ void KvService::RepairStep() {
     }
     const uint64_t key = it->first;
     const uint64_t ver = it->second;
-    const std::vector<int> replicas = shard_map_.ReplicasFor(key);
+    shard_map_.ReplicasFor(key, replicas_scratch_);
     int target = -1;
-    for (int r : replicas) {
+    for (int r : replicas_scratch_) {
       if (nodes_[static_cast<size_t>(r)]->has_failed()) {
         continue;
       }
@@ -846,8 +846,9 @@ int64_t KvService::lost_acked_writes() const {
 
 int64_t KvService::under_replicated_keys() const {
   int64_t under = 0;
+  std::vector<int> replicas;
   for (const auto& [key, ver] : acked_) {
-    const std::vector<int> replicas = shard_map_.ReplicasFor(key);
+    shard_map_.ReplicasFor(key, replicas);
     int copies = 0;
     for (int r : replicas) {
       if (nodes_[static_cast<size_t>(r)]->has_failed()) {

@@ -358,8 +358,9 @@ class KvService {
   OpTable ops_;
 
   // Hot-path caches: per-node registry channels (skip the name hash on
-  // every observation), one reusable DepthFn, and ranking scratch buffers
-  // (never reused across a call that can re-enter ranking).
+  // every observation), one reusable DepthFn, and scratch buffers for the
+  // repair scan's replica sets and for ranking (never reused across a call
+  // that can re-enter ranking).
   std::vector<PerformanceStateRegistry::ObsChannel> channels_;
   ReplicaSelector::DepthFn depth_fn_;
   std::vector<int> replicas_scratch_;

@@ -19,7 +19,14 @@ struct PerComponent {
 CorrelationReport CorrelateFaultTimeline(const std::vector<TraceEvent>& events,
                                          const ComponentTable& table,
                                          const CorrelatorOptions& options) {
-  std::vector<TraceEvent> sorted = events;
+  // Only the control kinds matter here; dropping the rest before the
+  // stable sort yields the same order as sorting everything, then filtering.
+  std::vector<TraceEvent> sorted;
+  for (const TraceEvent& e : events) {
+    if (IsControlEvent(e.kind)) {
+      sorted.push_back(e);
+    }
+  }
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const TraceEvent& x, const TraceEvent& y) {
                      return x.when < y.when;

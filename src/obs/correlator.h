@@ -71,6 +71,8 @@ struct CorrelationReport {
 };
 
 // Scans `events` (any order; sorted internally) and builds the report.
+// Only the control kinds (IsControlEvent) are read, so a recorder's
+// FaultLog() gives the same report as its full Events() snapshot.
 // Contract with producers: kStateTransition events carry the PerfState the
 // detector entered in `a` (0 = Healthy), and kPolicyAction events with
 // label "none" are observations, not reactions.

@@ -5,9 +5,9 @@
 // a request moving through a device queue, an injected fault turning on,
 // a detector changing its mind, a policy reacting — is one fixed-size
 // TraceEvent. Events are cheap to copy, carry interned ids instead of
-// strings, and are collected by the ring-buffer EventRecorder
-// (src/obs/recorder.h), joined into fault timelines (src/obs/correlator.h),
-// and exported to Perfetto/JSONL (src/obs/export.h).
+// strings, and are collected by the EventRecorder (src/obs/recorder.h: a
+// fault log plus a flight-recorder ring), joined into fault timelines
+// (src/obs/correlator.h), and exported to Perfetto/JSONL (src/obs/export.h).
 #ifndef SRC_OBS_EVENT_H_
 #define SRC_OBS_EVENT_H_
 
@@ -56,6 +56,13 @@ enum class EventKind : uint8_t {
 };
 
 const char* EventKindName(EventKind k);
+
+// The control kinds, kFaultActivate..kPolicyAction: ground truth, detector
+// decisions and reactions — the only kinds the correlator reads, and the
+// ones the recorder keeps in its never-overwritten fault log.
+inline bool IsControlEvent(EventKind k) {
+  return k >= EventKind::kFaultActivate && k <= EventKind::kPolicyAction;
+}
 
 struct TraceEvent {
   SimTime when;

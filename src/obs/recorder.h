@@ -1,12 +1,25 @@
-// The event recorder: a fixed-capacity ring buffer of TraceEvents.
+// The event recorder: an append-only fault log beside a bounded ring.
+//
+// Two stores, split by event kind:
+//   * The fault log keeps the control kinds the correlator reads (fault
+//     activate/deactivate, state transitions, policy actions; see
+//     IsControlEvent). It is append-only and never overwritten: a run
+//     records tens of these against tens of thousands of request spans,
+//     and a dropped activation would silently vanish from every scorecard.
+//     Each entry remembers how many ring events were pushed before it.
+//   * The flight-recorder ring keeps every other kind (request spans,
+//     counters, queue depth, marks) in `capacity` preallocated slots. When
+//     it wraps, the oldest are overwritten and counted as dropped
+//     (telemetry keeps the most recent window). `capacity == 0` keeps no
+//     ring: those events are counted and dropped, and only the fault log
+//     is stored — all a cell that just correlates faults needs.
 //
 // Cost model: components hold an `EventRecorder*` that defaults to null, so
 // an uninstrumented run pays only a pointer test on the hot path. With a
 // recorder attached but disabled, Record() is an inline bool test. Enabled,
-// each event is one fixed-size struct copy into a preallocated ring — no
-// allocation, no formatting; strings are interned once at wiring time.
-// When the ring wraps, the oldest events are overwritten and counted as
-// dropped (telemetry keeps the most recent window, like a flight recorder).
+// each span is one fixed-size struct copy into the preallocated ring — no
+// allocation, no formatting; strings are interned once at wiring time. The
+// rare control events append to the fault log (amortized growth).
 #ifndef SRC_OBS_RECORDER_H_
 #define SRC_OBS_RECORDER_H_
 
@@ -89,15 +102,22 @@ class EventRecorder {
     Record({when, EventKind::kMark, component, label, -1, 0, value, 0.0});
   }
 
-  // Snapshot in timestamp order. Events may be recorded out of order (a
-  // fault scheduled for the future is recorded at injection time with its
-  // activation timestamp), so the snapshot stable-sorts by `when`.
+  // Both stores merged in timestamp order. Events may be recorded out of
+  // order (a fault scheduled for the future is recorded at injection time
+  // with its activation timestamp), so the snapshot rebuilds push order
+  // from the fault log's ring counts and stable-sorts by `when`: with
+  // nothing dropped it is exactly the stable sort of everything recorded.
   std::vector<TraceEvent> Events() const;
 
-  size_t size() const { return ring_.size(); }
+  // The control events alone, in push order (not sorted): all the
+  // correlator needs, without copying the ring.
+  const std::vector<TraceEvent>& FaultLog() const { return log_; }
+
+  // Events stored (ring plus fault log).
+  size_t size() const { return ring_.size() + log_.size(); }
   size_t capacity() const { return capacity_; }
-  uint64_t total_recorded() const { return total_; }
-  uint64_t dropped() const { return total_ - ring_.size(); }
+  uint64_t total_recorded() const { return ring_total_ + log_.size(); }
+  uint64_t dropped() const { return ring_total_ - ring_.size(); }
   void Clear();
 
  private:
@@ -106,8 +126,10 @@ class EventRecorder {
   bool enabled_ = true;
   size_t capacity_;
   std::vector<TraceEvent> ring_;
-  size_t next_ = 0;  // overwrite cursor once the ring is full
-  uint64_t total_ = 0;
+  size_t next_ = 0;          // overwrite cursor once the ring is full
+  uint64_t ring_total_ = 0;  // events ever pushed to the ring
+  std::vector<TraceEvent> log_;
+  std::vector<uint64_t> log_ring_before_;  // ring_total_ at each log push
   uint64_t last_request_id_ = 0;
   ComponentTable table_;
 };

@@ -116,7 +116,8 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
     cluster.nmr = p.nmr;
     cluster.nmr.enabled = true;
   }
-  EventRecorder recorder;
+  // No ring: the cell reads only the fault log, through the correlator.
+  EventRecorder recorder(0);
   KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
                 &recorder);
 
@@ -216,7 +217,7 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
 
   const LivePlane& live = *svc.live();
   const CorrelationReport rep =
-      CorrelateFaultTimeline(recorder.Events(), recorder.components());
+      CorrelateFaultTimeline(recorder.FaultLog(), recorder.components());
   const std::vector<GraySpan> spans = live.expectation().GraySpans();
   out.scorecard = BuildScorecard(rep, spans, end_of_run, p.scorecard);
   for (const GraySpan& s : spans) {

@@ -1,8 +1,9 @@
-// Tests for the observability layer: event interning, the ring-buffer
-// recorder, the fault-timeline correlator, the exporters, and end-to-end
+// Tests for the observability layer: event interning, the recorder's fault
+// log and ring, the fault-timeline correlator, the exporters, and end-to-end
 // instrumentation of a live device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -16,6 +17,7 @@
 #include "src/obs/export.h"
 #include "src/obs/profiler.h"
 #include "src/obs/recorder.h"
+#include "src/simcore/rng.h"
 #include "src/simcore/simulator.h"
 
 namespace fst {
@@ -101,6 +103,130 @@ TEST(EventRecorderTest, ClearEmptiesTheRing) {
   rec.Clear();
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_TRUE(rec.Events().empty());
+}
+
+// A fault activation must outlive any number of request spans: before the
+// fault log, a 4-slot ring wrapped over the activation and the detector's
+// transition was scored as a false positive on a fault that never existed.
+TEST(ObsTest, FaultLogSurvivesRingWrap) {
+  EventRecorder rec(4);
+  const uint16_t node0 = rec.Intern("node0");
+  rec.FaultActivate(At(1.0), node0, rec.Intern("static-slowdown"), 3.0, false);
+  for (int i = 0; i < 8; ++i) {
+    rec.RequestComplete(At(1.1 + 0.1 * i), node0, rec.NextRequestId(), 0,
+                        Duration::Millis(1), Duration::Millis(2));
+  }
+  rec.StateTransition(At(2.0), node0, rec.Intern("Healthy->Stuttering"),
+                      /*to_state=*/1, /*deficit=*/0.6);
+  EXPECT_EQ(rec.total_recorded(), 10u);
+  EXPECT_EQ(rec.dropped(), 4u);
+
+  for (const auto& events : {rec.Events(), rec.FaultLog()}) {
+    const auto report = CorrelateFaultTimeline(events, rec.components());
+    ASSERT_EQ(report.faults.size(), 1u);
+    EXPECT_TRUE(report.faults[0].detected);
+    EXPECT_NEAR(report.faults[0].detection_latency.ToSeconds(), 1.0, 1e-9);
+    EXPECT_EQ(report.detected_count, 1);
+    EXPECT_EQ(report.false_positives, 0);
+  }
+}
+
+// 5,000 random events of all ten kinds with many equal-`when` ties.
+std::vector<TraceEvent> RandomEvents(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TraceEvent> out;
+  for (int i = 0; i < 5000; ++i) {
+    TraceEvent e;
+    e.when = SimTime::Zero() + Duration::Millis(rng.UniformInt(0, 49));
+    e.kind = static_cast<EventKind>(
+        rng.UniformInt(0, static_cast<int64_t>(EventKind::kMark)));
+    e.component = static_cast<uint16_t>(rng.UniformInt(1, 3));
+    e.label = static_cast<uint16_t>(rng.UniformInt(0, 2));
+    e.device = static_cast<int32_t>(rng.UniformInt(-1, 3));
+    e.request_id = static_cast<uint64_t>(i);
+    e.a = static_cast<double>(i);
+    e.b = rng.UniformDouble();
+    out.push_back(e);
+  }
+  return out;
+}
+
+void ExpectSameEvents(const std::vector<TraceEvent>& got,
+                      const std::vector<TraceEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].when.nanos(), want[i].when.nanos());
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].component, want[i].component);
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].device, want[i].device);
+    EXPECT_EQ(got[i].request_id, want[i].request_id);
+    EXPECT_EQ(got[i].a, want[i].a);
+    EXPECT_EQ(got[i].b, want[i].b);
+  }
+}
+
+void StableSortByWhen(std::vector<TraceEvent>& v) {
+  std::stable_sort(v.begin(), v.end(),
+                   [](const TraceEvent& x, const TraceEvent& y) {
+                     return x.when < y.when;
+                   });
+}
+
+// Differential: the two stores merged back must be exactly the stable sort
+// of everything pushed, with control and ring events interleaved in push
+// order wherever timestamps tie. With a wrapped ring, the snapshot is the
+// same sort over the control events plus the ring's surviving window.
+TEST(ObsTest, EventsEqualStableSortOfPushOrder) {
+  const std::vector<TraceEvent> pushed = RandomEvents(7);
+  size_t ring_events = 0;
+  for (const TraceEvent& e : pushed) {
+    ring_events += IsControlEvent(e.kind) ? 0 : 1;
+  }
+  for (const size_t capacity : {size_t{1} << 16, size_t{64}}) {
+    SCOPED_TRACE(capacity);
+    EventRecorder rec(capacity);
+    for (const TraceEvent& e : pushed) {
+      rec.Record(e);
+    }
+    const size_t kept = std::min(capacity, ring_events);
+    std::vector<TraceEvent> want;
+    size_t ring_seen = 0;
+    for (const TraceEvent& e : pushed) {
+      if (IsControlEvent(e.kind) || ring_seen++ >= ring_events - kept) {
+        want.push_back(e);
+      }
+    }
+    StableSortByWhen(want);
+    EXPECT_EQ(rec.total_recorded(), pushed.size());
+    EXPECT_EQ(rec.dropped(), ring_events - kept);
+    EXPECT_EQ(rec.size(), want.size());
+    ExpectSameEvents(rec.Events(), want);
+  }
+}
+
+// capacity 0 keeps no ring: spans are counted as recorded and dropped, and
+// the fault log still holds every control event in push order.
+TEST(ObsTest, ZeroCapacityKeepsOnlyTheFaultLog) {
+  const std::vector<TraceEvent> pushed = RandomEvents(11);
+  EventRecorder rec(0);
+  EXPECT_EQ(rec.capacity(), 0u);
+  std::vector<TraceEvent> control;
+  for (const TraceEvent& e : pushed) {
+    rec.Record(e);
+    if (IsControlEvent(e.kind)) {
+      control.push_back(e);
+    }
+  }
+  ASSERT_FALSE(control.empty());
+  ASSERT_LT(control.size(), pushed.size());
+  EXPECT_EQ(rec.total_recorded(), pushed.size());
+  EXPECT_EQ(rec.dropped(), pushed.size() - control.size());
+  EXPECT_EQ(rec.size(), control.size());
+  ExpectSameEvents(rec.FaultLog(), control);
+  StableSortByWhen(control);
+  ExpectSameEvents(rec.Events(), control);
 }
 
 // ---------------------------------------------------------------- correlator
