@@ -16,6 +16,7 @@
 //          the campaign JSON is byte-identical for any thread count — CI
 //          diffs a 1-thread run against a 4-thread run.
 // out_dir: where chaos_campaign.json lands (default "."; "" skips).
+//          It must already exist: the CLI exits 1 before running if not.
 // live:    the literal string "live" arms the online telemetry plane:
 //          every seed runs with expectation tracking + SLO burn alerting,
 //          scenarios add sub-threshold gray stutters, and the campaign
@@ -36,7 +37,9 @@
 // everything needed to replay the failure deterministically).
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "src/chaos/campaign.h"
 #include "src/obs/export.h"
@@ -59,6 +62,13 @@ int main(int argc, char** argv) {
   if (argc > 4 && std::string(argv[4]) == "control") {
     params.control_plane = true;
     params.name = "chaos_control";
+  }
+
+  std::error_code ec;
+  if (!out_dir.empty() && !std::filesystem::is_directory(out_dir, ec)) {
+    std::fprintf(stderr, "out_dir %s is not an existing directory\n",
+                 out_dir.c_str());
+    return 1;
   }
 
   std::printf("chaos campaign: %d seeds, %d nodes, %.0fs serving + %.0fs "

@@ -14,6 +14,7 @@
 //          resilience_scorecard.json is byte-identical at any count — CI
 //          diffs a 1-thread run against a 4-thread run.
 // out_dir: where resilience_scorecard.json lands (default "."; "" skips).
+//          It must already exist: the CLI exits 1 before running if not.
 // control: the literal string "control" routes every pattern action through
 //          the consensus-backed control plane and checks the consensus
 //          invariants on top of the robustness ones.
@@ -26,7 +27,9 @@
 // storm cell may collapse and no invariant may break.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "src/obs/export.h"
 #include "src/resilience/campaign.h"
@@ -45,6 +48,13 @@ int main(int argc, char** argv) {
     params.name = "resilience_control";
   }
 
+  std::error_code ec;
+  if (!out_dir.empty() && !std::filesystem::is_directory(out_dir, ec)) {
+    std::fprintf(stderr, "out_dir %s is not an existing directory\n",
+                 out_dir.c_str());
+    return 1;
+  }
+
   std::printf(
       "resilience campaign: %d scenarios x %d patterns x %d seeds, %d nodes, "
       "%.0fs serving + %.0fs settle per cell\n\n",
@@ -54,41 +64,23 @@ int main(int argc, char** argv) {
   const fst::ResilienceCampaignResult result =
       fst::RunResilienceCampaign(params);
 
-  // The ablation table: one row per (scenario, pattern), aggregated over
-  // seeds exactly as in the scorecard JSON.
+  // The ablation table: one row per (scenario, pattern), the same
+  // aggregate the scorecard JSON prints.
   std::printf("  %-10s %-12s %8s %9s %8s %8s %7s %9s %5s\n", "scenario",
               "pattern", "goodput", "retained", "gray_s", "mttd_ms", "denied",
               "collapsed", "viol");
   for (int s = 0; s < fst::kResilienceScenarios; ++s) {
     for (int q = 0; q < fst::kResiliencePatterns; ++q) {
-      double goodput = 0.0, gray = 0.0;
-      int64_t denied = 0;
-      int collapsed = 0, storms = 0, viol = 0;
-      fst::DetectorScorecard merged;
-      for (int i = 0; i < params.seeds; ++i) {
-        const fst::ResilienceCellOutcome& o =
-            result.outcomes[result.CellIndex(s, q, i)];
-        goodput += o.goodput_per_sec;
-        gray += o.gray_exposure_s;
-        denied += o.denied_budget;
-        storms += o.storm ? 1 : 0;
-        collapsed += o.collapsed ? 1 : 0;
-        viol += o.ok ? 0 : 1;
-        merged.Merge(o.scorecard);
-      }
-      double base = 0.0;
-      for (int i = 0; i < params.seeds; ++i) {
-        base += result.outcomes[result.CellIndex(0, q, i)].goodput_per_sec;
-      }
-      const double n = params.seeds > 0 ? params.seeds : 1;
+      const fst::ResilienceCellSummary r = result.Summary(s, q);
       std::printf("  %-10s %-12s %8.1f %9.3f %8.2f %8.1f %7lld %5d/%-3d %5d\n",
                   fst::ResilienceScenarioName(
                       static_cast<fst::ResilienceScenario>(s)),
                   fst::ResiliencePatternName(
                       static_cast<fst::ResiliencePattern>(q)),
-                  goodput / n, base > 0.0 ? goodput / base : 0.0, gray / n,
-                  merged.mttd_ms.P50(), static_cast<long long>(denied),
-                  collapsed, storms, viol);
+                  r.goodput_per_sec, r.goodput_retained, r.gray_exposure_s,
+                  r.scorecard.mttd_ms.P50(),
+                  static_cast<long long>(r.denied_budget), r.collapsed,
+                  r.storms, r.violations);
     }
   }
 

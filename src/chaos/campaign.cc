@@ -1,31 +1,33 @@
 #include "src/chaos/campaign.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <utility>
 
-#include "src/cluster/client.h"
-#include "src/core/policy.h"
-#include "src/faults/fault.h"
+#include "src/chaos/cell.h"
 #include "src/harness/sweep.h"
-#include "src/obs/correlator.h"
 #include "src/obs/export.h"
 #include "src/obs/live/report.h"
-#include "src/obs/recorder.h"
 
 namespace fst {
 
 SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   Simulator sim(seed);
 
+  RandomScenarioParams sp = p.scenario;
+  sp.nodes = p.nodes;
+  sp.horizon = p.run_for;
+  if (p.control_plane) {
+    sp.leader_faults = p.leader_faults;
+  }
+  const ChaosSchedule schedule = RandomScenario(seed, sp);
+
   FleetParams fleet_params;
   fleet_params.arrivals_per_sec = p.arrivals_per_sec;
   fleet_params.run_for = p.run_for;
   fleet_params.read_fraction = p.read_fraction;
   fleet_params.key_space = p.key_space;
-  ClientFleet fleet(sim, fleet_params);
 
   ClusterParams cluster;
   cluster.nodes = p.nodes;
@@ -34,49 +36,15 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   cluster.retry.enabled = true;
   cluster.retry.deadline = Duration::Millis(800);
   cluster.recovery.enabled = true;
-  // Used only on the telemetry path, and there only for its fault log.
-  EventRecorder recorder(0);
   if (p.telemetry) {
     cluster.live = p.live;
     cluster.live.enabled = true;
   }
-  KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
-                p.telemetry ? &recorder : nullptr);
-
-  // The consensus group forks its RNG streams off the simulator root at
-  // construction, so it must be built only on the control-plane path —
-  // otherwise legacy seeds would see a shifted stream and lose their
-  // pinned digests.
-  std::unique_ptr<ConsensusGroup> group;
-  if (p.control_plane) {
-    ConsensusParams cp = p.consensus;
-    cp.data_nodes = p.nodes;
-    cp.shard = cluster.shard;
-    group = std::make_unique<ConsensusGroup>(sim, cp,
-                                             p.telemetry ? &recorder : nullptr);
-    BindControlPlane(*group, svc);
-  }
-
-  FaultInjector injector(sim);
-  if (p.telemetry) {
-    injector.set_recorder(&recorder);
-  }
-  RandomScenarioParams sp = p.scenario;
-  sp.nodes = p.nodes;
-  sp.horizon = p.run_for;
-  if (p.control_plane) {
-    sp.leader_faults = p.leader_faults;
-  }
-  const ChaosSchedule schedule = RandomScenario(seed, sp);
-  if (p.control_plane) {
-    ConsensusGroup* g = group.get();
-    ApplySchedule(sim, svc, schedule, injector,
-                  [g]() -> FaultableDevice* {
-                    return &g->LeaderDeviceOrFallback();
-                  });
-  } else {
-    ApplySchedule(sim, svc, schedule, injector);
-  }
+  ServingCell cell(sim, fleet_params, cluster,
+                   p.control_plane ? std::optional(p.consensus) : std::nullopt,
+                   schedule);
+  KvService& svc = cell.service();
+  ConsensusGroup* group = cell.group();
 
   const SimTime end_of_run = SimTime::Zero() + p.run_for + p.settle;
   svc.StartRecovery(end_of_run);
@@ -84,13 +52,13 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   if (group) {
     group->Start(end_of_run);
   }
-  fleet.Run(svc, [](const FleetResult&) {});
+  cell.fleet().Run(svc, [](const FleetResult&) {});
   sim.Run();
 
   SeedOutcome out;
   out.seed = seed;
   out.dsl = schedule.ToDsl();
-  for (const InjectedFault& f : injector.injected()) {
+  for (const InjectedFault& f : cell.injector().injected()) {
     char line[160];
     std::snprintf(line, sizeof(line), "%.3fs %s %s x%.3g",
                   f.when.ToSeconds(), f.component.c_str(), f.kind.c_str(),
@@ -111,8 +79,7 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   if (p.telemetry) {
     out.telemetry = true;
     const LivePlane& live = *svc.live();
-    const CorrelationReport rep =
-        CorrelateFaultTimeline(recorder.FaultLog(), recorder.components());
+    const CorrelationReport rep = cell.FaultReport();
     const std::vector<GraySpan> spans = live.expectation().GraySpans();
     out.scorecard = BuildScorecard(rep, spans, end_of_run, p.scorecard);
     out.gray_spans = static_cast<int>(spans.size());
@@ -124,32 +91,10 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
     }
     out.live_json = live.Json();
     out.slo_json = svc.slo().ReportJson(p.run_for);
-
-    // Detection-quality invariants. Count consistency is unconditional;
-    // crash coverage holds because every generated crash keeps the node
-    // down >= 1.2s, past the 1s liveness timeout, so the heartbeat (or a
-    // failed data-path request) must declare it.
-    if (out.scorecard.detected + out.scorecard.missed !=
-        out.scorecard.faults) {
-      out.violations.push_back("scorecard count mismatch: detected " +
-                               std::to_string(out.scorecard.detected) +
-                               " + missed " +
-                               std::to_string(out.scorecard.missed) +
-                               " != faults " +
-                               std::to_string(out.scorecard.faults));
-    }
-    for (const FaultRecord& f : rep.faults) {
-      if (f.kind == "crash-restart" && !f.detected) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "crash on %s at %.3fs never detected", f.device.c_str(),
-                      f.injected_at.ToSeconds());
-        out.violations.push_back(buf);
-      }
-    }
+    CheckDetection(out.scorecard, rep, out.violations);
   }
 
-  if (p.control_plane) {
+  if (group) {
     out.control_plane = true;
     out.elections = group->elections_started();
     out.elections_won = group->elections_won();
@@ -161,65 +106,10 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
     out.reconfig_max_ms = group->reconfig_max_ms();
     out.leaderless_s = group->leaderless_seconds();
     out.max_leaderless_s = group->max_leaderless_seconds();
-    for (std::string& v : group->CheckInvariants(p.unavailability_bound)) {
-      out.violations.push_back(std::move(v));
-    }
-    // No split-brain ownership: at quiesce the serving map and weights
-    // must equal the feed replica's applied state bit-for-bit — the
-    // service holds no ownership fact the quorum never committed.
-    const ControlState& feed = group->replica(0).state();
-    if (svc.shard_map().OwnershipDigest() !=
-        feed.map().OwnershipDigest()) {
-      out.violations.push_back(
-          "serving shard map diverged from feed replica applied state");
-    }
-    for (int i = 0; i < p.nodes; ++i) {
-      if (svc.selector().WeightOf(i) != feed.weight(i)) {
-        char buf[112];
-        std::snprintf(buf, sizeof(buf),
-                      "node%d serving weight %.6f != committed %.6f", i,
-                      svc.selector().WeightOf(i), feed.weight(i));
-        out.violations.push_back(buf);
-      }
-    }
-    if (group->pending_proposals() != 0) {
-      out.violations.push_back(
-          std::to_string(group->pending_proposals()) +
-          " control proposals never committed by end of run");
-    }
+    CheckControlPlane(*group, svc, p.unavailability_bound, out.violations);
   }
 
-  if (out.lost_acked > 0) {
-    out.violations.push_back("lost_acked_writes=" +
-                             std::to_string(out.lost_acked));
-  }
-  if (out.under_replicated > 0) {
-    out.violations.push_back("under_replicated_keys=" +
-                             std::to_string(out.under_replicated));
-  }
-  for (int i = 0; i < p.nodes; ++i) {
-    const std::string name = "node" + std::to_string(i);
-    const PerfState st = svc.registry().StateOf(name);
-    if (svc.node(i)->has_failed()) {
-      out.violations.push_back(name + " still down at end of run");
-      continue;
-    }
-    if (st == PerfState::kFailed) {
-      out.violations.push_back(name + " stuck kFailed though the device is up");
-    }
-    const bool ejected = svc.shard_map().IsEjected(i);
-    if (ejected && st != PerfState::kStuttering) {
-      out.violations.push_back(name + " ejected though state is " +
-                               PerfStateName(st));
-    }
-    if (st == PerfState::kHealthy && !ejected &&
-        std::fabs(svc.selector().WeightOf(i) - 1.0) > 1e-9) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "%s healthy but weight %.4f != 1.0",
-                    name.c_str(), svc.selector().WeightOf(i));
-      out.violations.push_back(buf);
-    }
-  }
+  CheckRobustness(svc, out.violations);
   out.ok = out.violations.empty();
   return out;
 }

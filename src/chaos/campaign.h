@@ -1,17 +1,11 @@
 // The chaos-campaign engine: many seeded scenarios, invariant-checked.
 //
 // A campaign runs N independent seeds through the sweep harness. Each seed
-// builds a fresh Simulator + KvService (recovery + retries enabled),
-// generates its own RandomScenario, serves an open-loop workload through
-// the full fault schedule, lets the cluster quiesce, and then checks the
-// robustness invariants:
-//   1. durability  — no acknowledged write lost (some live node holds a
-//      version >= the acked one for every acked key);
-//   2. repair      — the replication factor is restored (no acked key is
-//      under-replicated across its current owner set);
-//   3. convergence — every node is back up, none is still marked kFailed,
-//      crash-ejected nodes have been unejected, and fully-recovered nodes
-//      carry weight 1.0 again.
+// builds a fresh ServingCell (src/chaos/cell.h; recovery and retries on)
+// over its own RandomScenario, serves an open-loop workload through the
+// full fault schedule, lets the cluster quiesce, and then checks the
+// robustness invariants (CheckRobustness): no acknowledged write lost, the
+// replication factor restored, and every node back up and converged.
 // Determinism is inherited from the harness: results are aggregated by
 // grid index, so the campaign report is byte-identical at any sweep thread
 // count, and a violating seed can be replayed exactly from its recorded

@@ -588,11 +588,11 @@ void ApplySchedule(Simulator& sim, KvService& service,
   ApplySchedule(sim, service, schedule, injector, LeaderResolver());
 }
 
-std::vector<SurgeWindow> SurgeWindows(const ChaosSchedule& schedule) {
-  std::vector<SurgeWindow> out;
+std::vector<ArrivalSurge> SurgeWindows(const ChaosSchedule& schedule) {
+  std::vector<ArrivalSurge> out;
   for (const ChaosEvent& e : schedule.events) {
     if (e.kind == ChaosKind::kRetryStorm) {
-      out.push_back(SurgeWindow{e.at, e.duration, e.surge});
+      out.push_back(ArrivalSurge{e.at, e.duration, e.surge});
     }
   }
   return out;

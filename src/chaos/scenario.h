@@ -33,7 +33,7 @@
 //     open-loop arrival rate surges by `surge` for the window — the
 //     overload trigger for retry-driven metastable collapse. The slowdown
 //     half is injected by ApplySchedule; the arrival half is returned by
-//     SurgeWindows() for the workload driver to hand its ClientFleet.
+//     SurgeWindows(), which ServingCell hands to its ClientFleet.
 //
 // Besides a fixed index, `node=` accepts the selector `leader`: the event
 // binds to *whoever leads the consensus group at fire time*, resolved by
@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/faults/injector.h"
 #include "src/simcore/simulator.h"
@@ -178,14 +179,9 @@ void ApplySchedule(Simulator& sim, KvService& service,
 // The arrival half of every kRetryStorm entry in the schedule, in schedule
 // order: the open-loop client fleet multiplies its arrival rate by
 // `factor` over [at, at + duration). ApplySchedule injects only the
-// service-side slowdown; the workload driver passes these windows to its
-// ClientFleet (FleetParams::surges) before the run starts.
-struct SurgeWindow {
-  Duration at;
-  Duration duration;
-  double factor = 1.0;
-};
-std::vector<SurgeWindow> SurgeWindows(const ChaosSchedule& schedule);
+// service-side slowdown; ServingCell (src/chaos/cell.h) hands these
+// windows to its ClientFleet as FleetParams::surges.
+std::vector<ArrivalSurge> SurgeWindows(const ChaosSchedule& schedule);
 
 }  // namespace fst
 

@@ -29,7 +29,7 @@ namespace fst {
 
 // A transient arrival-rate multiplier: over [at, at + duration) from the
 // fleet's Run() instant, the offered rate is arrivals_per_sec * factor.
-// This is the client half of a retry-storm trigger (chaos SurgeWindows).
+// This is the client half of a retry-storm trigger (chaos SurgeWindows()).
 struct ArrivalSurge {
   Duration at;
   Duration duration;

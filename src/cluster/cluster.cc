@@ -651,10 +651,9 @@ void KvService::StartTelemetry(SimTime until) {
 
 void KvService::TelemetryTick() {
   const SimTime now = sim_.Now();
-  const SloSnapshot s = slo_.Snapshot();
   OutcomeCounts counts;
-  counts.good = s.goodput;
-  counts.bad = s.bad();
+  counts.good = slo_.goodput();
+  counts.bad = slo_.late() + slo_.shed() + slo_.errors();
   live_->Tick(now, counts);
   if (now < telemetry_until_) {
     sim_.Schedule(live_->window(), [this] { TelemetryTick(); });

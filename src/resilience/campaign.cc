@@ -1,21 +1,16 @@
 #include "src/resilience/campaign.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <utility>
 
-#include "src/cluster/client.h"
-#include "src/core/policy.h"
+#include "src/chaos/cell.h"
 #include "src/devices/disk.h"
 #include "src/devices/network.h"
 #include "src/devices/node.h"
-#include "src/faults/fault.h"
 #include "src/harness/sweep.h"
-#include "src/obs/correlator.h"
-#include "src/obs/export.h"
-#include "src/obs/recorder.h"
 
 namespace fst {
 
@@ -55,47 +50,25 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
                                         uint64_t seed) {
   Simulator sim(seed);
 
-  // The schedule draws only from its own seed, never the simulator RNG, so
-  // it can be generated up front — the fleet needs its surge windows before
-  // it forks the first arrival stream.
   RandomScenarioParams sp = p.scenario;
   sp.nodes = p.nodes;
   sp.horizon = p.run_for;
-  sp.stutter_faults = 0;
-  sp.crash_faults = 0;
-  sp.gray_faults = 0;
-  sp.leader_faults = 0;
-  sp.correlated_faults = 0;
-  sp.gray_events = 0;
-  sp.retry_storms = 0;
-  switch (scenario) {
-    case ResilienceScenario::kClean:
-      break;
-    case ResilienceScenario::kGray:
-      sp.gray_events = 2;
-      break;
-    case ResilienceScenario::kCorrelated:
-      sp.correlated_faults = 2;
-      // Crash-mode domains with R = 2 can legitimately lose acked writes;
-      // the durability invariant stays meaningful only with slow-mode fate.
-      sp.correlated_crash_prob = 0.0;
-      break;
-    case ResilienceScenario::kRetryStorm:
-      sp.retry_storms = 1;
-      break;
-  }
+  // Each scenario class draws only its own kind of fault. Crash-mode
+  // correlated domains with R = 2 can legitimately lose acked writes; the
+  // durability invariant stays meaningful only with slow-mode shared fate.
+  sp.stutter_faults = sp.crash_faults = sp.gray_faults = sp.leader_faults = 0;
+  sp.gray_events = scenario == ResilienceScenario::kGray ? 2 : 0;
+  sp.correlated_faults = scenario == ResilienceScenario::kCorrelated ? 2 : 0;
+  sp.correlated_crash_prob = 0.0;
+  sp.retry_storms = scenario == ResilienceScenario::kRetryStorm ? 1 : 0;
   const ChaosSchedule schedule = RandomScenario(seed, sp);
-  const std::vector<SurgeWindow> surges = SurgeWindows(schedule);
+  const std::vector<ArrivalSurge> surges = SurgeWindows(schedule);
 
   FleetParams fleet_params;
   fleet_params.arrivals_per_sec = p.arrivals_per_sec;
   fleet_params.run_for = p.run_for;
   fleet_params.read_fraction = p.read_fraction;
   fleet_params.key_space = p.key_space;
-  for (const SurgeWindow& w : surges) {
-    fleet_params.surges.push_back({w.at, w.duration, w.factor});
-  }
-  ClientFleet fleet(sim, fleet_params);
 
   ClusterParams cluster;
   cluster.nodes = p.nodes;
@@ -116,29 +89,16 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
     cluster.nmr = p.nmr;
     cluster.nmr.enabled = true;
   }
-  // No ring: the cell reads only the fault log, through the correlator.
-  EventRecorder recorder(0);
-  KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
-                &recorder);
-
-  std::unique_ptr<ConsensusGroup> group;
-  if (p.control_plane) {
-    ConsensusParams cp = p.consensus;
-    cp.data_nodes = p.nodes;
-    cp.shard = cluster.shard;
-    group = std::make_unique<ConsensusGroup>(sim, cp, &recorder);
-    BindControlPlane(*group, svc);
-  }
-
-  FaultInjector injector(sim);
-  injector.set_recorder(&recorder);
-  ApplySchedule(sim, svc, schedule, injector);
+  ServingCell cell(sim, fleet_params, cluster,
+                   p.control_plane ? std::optional(p.consensus) : std::nullopt,
+                   schedule);
+  KvService& svc = cell.service();
 
   RejuvenationParams rj = p.rejuvenation;
   rj.enabled = pattern == ResiliencePattern::kRejuvenation;
   EvictionParams ev = p.eviction;
   ev.enabled = pattern == ResiliencePattern::kEviction;
-  ResilienceEngine engine(sim, svc, injector, rj, ev);
+  ResilienceEngine engine(sim, svc, cell.injector(), rj, ev);
 
   ResilienceCellOutcome out;
   out.scenario = static_cast<int>(scenario);
@@ -154,7 +114,7 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
   double pre_len_s = 0.0, post_len_s = 0.0;
   if (!surges.empty()) {
     out.storm = true;
-    const SurgeWindow& w = surges.front();
+    const ArrivalSurge& w = surges.front();
     const double at_s = w.at.ToSeconds();
     const double clear_s = at_s + w.duration.ToSeconds();
     const double run_s = p.run_for.ToSeconds();
@@ -184,10 +144,10 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
   svc.StartRecovery(end_of_run);
   svc.StartTelemetry(end_of_run);
   engine.Start(SimTime::Zero() + p.run_for);
-  if (group) {
-    group->Start(end_of_run);
+  if (cell.group()) {
+    cell.group()->Start(end_of_run);
   }
-  fleet.Run(svc, [](const FleetResult&) {});
+  cell.fleet().Run(svc, [](const FleetResult&) {});
   sim.Run();
 
   out.fire_digest = sim.fire_digest();
@@ -216,92 +176,21 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
   }
 
   const LivePlane& live = *svc.live();
-  const CorrelationReport rep =
-      CorrelateFaultTimeline(recorder.FaultLog(), recorder.components());
+  const CorrelationReport rep = cell.FaultReport();
   const std::vector<GraySpan> spans = live.expectation().GraySpans();
   out.scorecard = BuildScorecard(rep, spans, end_of_run, p.scorecard);
   for (const GraySpan& s : spans) {
     out.gray_exposure_s += (s.end - s.start).ToSeconds();
   }
 
-  // Detection-quality invariants, as in the chaos campaign. Every crash in
-  // these cells — including the rejuvenation pattern's proactive restarts,
-  // which ride the same injector lifecycle — keeps its node down past the
-  // liveness timeout, so an undetected crash is a detector bug.
-  if (out.scorecard.detected + out.scorecard.missed != out.scorecard.faults) {
-    out.violations.push_back(
-        "scorecard count mismatch: detected " +
-        std::to_string(out.scorecard.detected) + " + missed " +
-        std::to_string(out.scorecard.missed) + " != faults " +
-        std::to_string(out.scorecard.faults));
+  // The rejuvenation pattern's proactive restarts ride the same injector
+  // lifecycle as scheduled crashes, so they must be detected too.
+  CheckDetection(out.scorecard, rep, out.violations);
+  if (cell.group()) {
+    CheckControlPlane(*cell.group(), svc, Duration::Seconds(3.0),
+                      out.violations);
   }
-  for (const FaultRecord& f : rep.faults) {
-    if (f.kind == "crash-restart" && !f.detected) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "crash on %s at %.3fs never detected",
-                    f.device.c_str(), f.injected_at.ToSeconds());
-      out.violations.push_back(buf);
-    }
-  }
-
-  if (p.control_plane) {
-    for (std::string& v : group->CheckInvariants(Duration::Seconds(3.0))) {
-      out.violations.push_back(std::move(v));
-    }
-    const ControlState& feed = group->replica(0).state();
-    if (svc.shard_map().OwnershipDigest() != feed.map().OwnershipDigest()) {
-      out.violations.push_back(
-          "serving shard map diverged from feed replica applied state");
-    }
-    for (int i = 0; i < p.nodes; ++i) {
-      if (svc.selector().WeightOf(i) != feed.weight(i)) {
-        char buf[112];
-        std::snprintf(buf, sizeof(buf),
-                      "node%d serving weight %.6f != committed %.6f", i,
-                      svc.selector().WeightOf(i), feed.weight(i));
-        out.violations.push_back(buf);
-      }
-    }
-    if (group->pending_proposals() != 0) {
-      out.violations.push_back(
-          std::to_string(group->pending_proposals()) +
-          " control proposals never committed by end of run");
-    }
-  }
-
-  // The robustness invariants every cell must satisfy regardless of
-  // pattern: durability, repair, convergence.
-  if (out.lost_acked > 0) {
-    out.violations.push_back("lost_acked_writes=" +
-                             std::to_string(out.lost_acked));
-  }
-  if (out.under_replicated > 0) {
-    out.violations.push_back("under_replicated_keys=" +
-                             std::to_string(out.under_replicated));
-  }
-  for (int i = 0; i < p.nodes; ++i) {
-    const std::string name = "node" + std::to_string(i);
-    const PerfState st = svc.registry().StateOf(name);
-    if (svc.node(i)->has_failed()) {
-      out.violations.push_back(name + " still down at end of run");
-      continue;
-    }
-    if (st == PerfState::kFailed) {
-      out.violations.push_back(name + " stuck kFailed though the device is up");
-    }
-    const bool ejected = svc.shard_map().IsEjected(i);
-    if (ejected && st != PerfState::kStuttering) {
-      out.violations.push_back(name + " ejected though state is " +
-                               PerfStateName(st));
-    }
-    if (st == PerfState::kHealthy && !ejected &&
-        std::fabs(svc.selector().WeightOf(i) - 1.0) > 1e-9) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "%s healthy but weight %.4f != 1.0",
-                    name.c_str(), svc.selector().WeightOf(i));
-      out.violations.push_back(buf);
-    }
-  }
+  CheckRobustness(svc, out.violations);
   out.ok = out.violations.empty();
   return out;
 }
@@ -504,6 +393,47 @@ ResilienceCampaignResult RunResilienceCampaign(
   return res;
 }
 
+ResilienceCellSummary ResilienceCampaignResult::Summary(int scenario,
+                                                      int pattern) const {
+  ResilienceCellSummary r;
+  double clean = 0.0;
+  for (int i = 0; i < params.seeds; ++i) {
+    clean += outcomes[CellIndex(0, pattern, i)].goodput_per_sec;
+    const ResilienceCellOutcome& o = outcomes[CellIndex(scenario, pattern, i)];
+    r.goodput_per_sec += o.goodput_per_sec;
+    r.gray_exposure_s += o.gray_exposure_s;
+    r.denied_budget += o.denied_budget;
+    r.retries += o.retries;
+    r.nmr_reads += o.nmr_reads;
+    r.nmr_acks += o.nmr_acks;
+    r.rejuvenations += o.rejuvenations;
+    r.evictions += o.evictions;
+    r.restores += o.restores;
+    r.crashes += o.crashes;
+    r.violations += o.ok ? 0 : 1;
+    if (o.storm) {
+      ++r.storms;
+      r.pre_storm_rate += o.pre_storm_rate;
+      r.post_storm_rate += o.post_storm_rate;
+      r.collapsed += o.collapsed ? 1 : 0;
+    }
+    r.scorecard.Merge(o.scorecard);
+  }
+  // "Goodput retained" normalizes by the same pattern's clean-scenario
+  // mean: the fraction of the pattern's fault-free service that survived
+  // the scenario class.
+  const double n = params.seeds > 0 ? params.seeds : 1;
+  const double base = params.seeds > 0 ? clean / params.seeds : 0.0;
+  r.goodput_per_sec /= n;
+  r.goodput_retained = base > 0.0 ? r.goodput_per_sec / base : 0.0;
+  r.gray_exposure_s /= n;
+  if (r.storms > 0) {
+    r.pre_storm_rate /= r.storms;
+    r.post_storm_rate /= r.storms;
+  }
+  return r;
+}
+
 std::string ResilienceCampaignResult::ScorecardJson() const {
   std::string out;
   char buf[512];
@@ -514,58 +444,9 @@ std::string ResilienceCampaignResult::ScorecardJson() const {
                 static_cast<unsigned long long>(params.first_seed),
                 violations);
   out += buf;
-
-  // Per-(scenario, pattern) aggregates in grid order. "Goodput retained"
-  // normalizes by the same pattern's clean-scenario mean, so it reads as
-  // "what fraction of this pattern's fault-free service survived the
-  // scenario class".
-  std::vector<double> clean_mean(static_cast<size_t>(kResiliencePatterns),
-                                 0.0);
-  for (int q = 0; q < kResiliencePatterns; ++q) {
-    double sum = 0.0;
-    for (int i = 0; i < params.seeds; ++i) {
-      sum += outcomes[CellIndex(0, q, i)].goodput_per_sec;
-    }
-    clean_mean[static_cast<size_t>(q)] =
-        params.seeds > 0 ? sum / params.seeds : 0.0;
-  }
-
-  bool first = true;
   for (int s = 0; s < kResilienceScenarios; ++s) {
     for (int q = 0; q < kResiliencePatterns; ++q) {
-      double goodput = 0.0, gray = 0.0, pre = 0.0, post = 0.0;
-      int64_t denied = 0, retries = 0, nmr_reads = 0, nmr_acks = 0;
-      int cell_violations = 0, storms = 0, collapsed = 0;
-      int rejuvenations = 0, evictions = 0, restores = 0, crashes = 0;
-      DetectorScorecard merged;
-      for (int i = 0; i < params.seeds; ++i) {
-        const ResilienceCellOutcome& o = outcomes[CellIndex(s, q, i)];
-        goodput += o.goodput_per_sec;
-        gray += o.gray_exposure_s;
-        denied += o.denied_budget;
-        retries += o.retries;
-        nmr_reads += o.nmr_reads;
-        nmr_acks += o.nmr_acks;
-        rejuvenations += o.rejuvenations;
-        evictions += o.evictions;
-        restores += o.restores;
-        crashes += o.crashes;
-        if (!o.ok) {
-          ++cell_violations;
-        }
-        if (o.storm) {
-          ++storms;
-          pre += o.pre_storm_rate;
-          post += o.post_storm_rate;
-          if (o.collapsed) {
-            ++collapsed;
-          }
-        }
-        merged.Merge(o.scorecard);
-      }
-      const double n = params.seeds > 0 ? params.seeds : 1;
-      const double mean_goodput = goodput / n;
-      const double base = clean_mean[static_cast<size_t>(q)];
+      const ResilienceCellSummary r = Summary(s, q);
       std::snprintf(
           buf, sizeof(buf),
           "%s  {\"scenario\": \"%s\", \"pattern\": \"%s\", "
@@ -578,19 +459,18 @@ std::string ResilienceCampaignResult::ScorecardJson() const {
           "\"pre_storm_rate\": %.3f, \"post_storm_rate\": %.3f, "
           "\"rejuvenations\": %d, \"evictions\": %d, \"restores\": %d, "
           "\"crashes\": %d, \"nmr_reads\": %lld, \"nmr_acks\": %lld}",
-          first ? "" : ",\n", ResilienceScenarioName(
-                                 static_cast<ResilienceScenario>(s)),
+          s == 0 && q == 0 ? "" : ",\n",
+          ResilienceScenarioName(static_cast<ResilienceScenario>(s)),
           ResiliencePatternName(static_cast<ResiliencePattern>(q)),
-          mean_goodput, base > 0.0 ? mean_goodput / base : 0.0, gray / n,
-          merged.mttd_ms.P50(), merged.mttr_ms.P50(), merged.faults,
-          merged.detected,
-          cell_violations, static_cast<long long>(retries),
-          static_cast<long long>(denied), storms, collapsed,
-          storms > 0 ? pre / storms : 0.0, storms > 0 ? post / storms : 0.0,
-          rejuvenations, evictions, restores, crashes,
-          static_cast<long long>(nmr_reads), static_cast<long long>(nmr_acks));
+          r.goodput_per_sec, r.goodput_retained, r.gray_exposure_s,
+          r.scorecard.mttd_ms.P50(), r.scorecard.mttr_ms.P50(),
+          r.scorecard.faults, r.scorecard.detected, r.violations,
+          static_cast<long long>(r.retries),
+          static_cast<long long>(r.denied_budget), r.storms, r.collapsed,
+          r.pre_storm_rate, r.post_storm_rate, r.rejuvenations, r.evictions,
+          r.restores, r.crashes, static_cast<long long>(r.nmr_reads),
+          static_cast<long long>(r.nmr_acks));
       out += buf;
-      first = false;
     }
   }
   out += "\n ],\n \"checkpoints\": [\n";

@@ -154,6 +154,28 @@ struct CheckpointCellOutcome {
   double crashed_plain_s = 0.0;  // crashed with no checkpoint (full rerun)
 };
 
+// One (scenario, pattern) row of the scorecard: the cells of every seed,
+// summed in seed order. Means are over seeds, storm rates over storm cells.
+struct ResilienceCellSummary {
+  double goodput_per_sec = 0.0;
+  double goodput_retained = 0.0;  // vs the same pattern's clean mean
+  double gray_exposure_s = 0.0;
+  DetectorScorecard scorecard;    // merged across seeds
+  int violations = 0;             // cells with >= 1 violated invariant
+  int64_t retries = 0;
+  int64_t denied_budget = 0;
+  int storms = 0;
+  int collapsed = 0;
+  double pre_storm_rate = 0.0;
+  double post_storm_rate = 0.0;
+  int rejuvenations = 0;
+  int evictions = 0;
+  int restores = 0;
+  int crashes = 0;
+  int64_t nmr_reads = 0;
+  int64_t nmr_acks = 0;
+};
+
 struct ResilienceCampaignResult {
   ResilienceCampaignParams params;
   // Grid order: scenario-major, then pattern, then seed.
@@ -163,10 +185,12 @@ struct ResilienceCampaignResult {
 
   size_t CellIndex(int scenario, int pattern, int seed_ordinal) const;
 
-  // The policy scorecard: per-(scenario, pattern) aggregates — goodput
-  // retained vs the same pattern's clean cells, gray exposure, MTTR p50,
-  // budget behavior, collapse counts, action counts — plus the checkpoint
-  // section. Fixed format, byte-identical at any sweep thread count.
+  // The aggregate ScorecardJson() prints for one (scenario, pattern).
+  ResilienceCellSummary Summary(int scenario, int pattern) const;
+
+  // The policy scorecard: one Summary() row per (scenario, pattern) in grid
+  // order, then the checkpoint section. Fixed format, byte-identical at any
+  // sweep thread count.
   std::string ScorecardJson() const;
 };
 

@@ -712,5 +712,28 @@ TEST(CampaignTest, MiniCampaignHoldsInvariantsAtAnyThreadCount) {
   EXPECT_EQ(serial.ReportJson(), threaded.ReportJson());
 }
 
+// A `retrystorm` entry is both halves of the trigger: the nodes slow down
+// and the open-loop arrival rate surges over the storm window.
+TEST(CampaignTest, RetryStormSurgesArrivals) {
+  CampaignParams p;
+  p.telemetry = true;
+  const auto arrivals = [](const SeedOutcome& o) {
+    const std::string key = "\"arrivals\": ";
+    const size_t at = o.slo_json.find(key);
+    EXPECT_NE(at, std::string::npos) << o.slo_json;
+    return std::stoll(o.slo_json.substr(at + key.size()));
+  };
+  const long long calm = arrivals(RunChaosSeed(p, 3));
+  p.scenario.retry_storms = 1;
+  const SeedOutcome storm = RunChaosSeed(p, 3);
+  const std::vector<ArrivalSurge> surges = SurgeWindows(ParseDsl(storm.dsl));
+  ASSERT_EQ(surges.size(), 1u);
+  const double extra = (surges[0].factor - 1.0) * p.arrivals_per_sec *
+                       surges[0].duration.ToSeconds();
+  EXPECT_GE(static_cast<double>(arrivals(storm) - calm), 0.5 * extra)
+      << "calm " << calm << " storm " << arrivals(storm) << " surge x"
+      << surges[0].factor << " for " << surges[0].duration.ToSeconds() << "s";
+}
+
 }  // namespace
 }  // namespace fst

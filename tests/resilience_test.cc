@@ -165,7 +165,7 @@ TEST(ResilienceDslTest, SurgeWindowsExtractsStormArrivalHalf) {
   const ChaosSchedule s = ParseDsl(
       "slow node=1 at=1s for=1s x2\n"
       "retrystorm at=5s for=2s surge=4 x3\n");
-  const std::vector<SurgeWindow> w = SurgeWindows(s);
+  const std::vector<ArrivalSurge> w = SurgeWindows(s);
   ASSERT_EQ(w.size(), 1u);
   EXPECT_EQ(w[0].at.nanos(), Duration::Seconds(5.0).nanos());
   EXPECT_EQ(w[0].duration.nanos(), Duration::Seconds(2.0).nanos());
@@ -545,6 +545,35 @@ TEST(ResilienceCampaignTest, ScorecardByteIdenticalAcrossThreadCounts) {
   for (size_t i = 0; i < one.outcomes.size(); ++i) {
     EXPECT_EQ(one.outcomes[i].fire_digest, four.outcomes[i].fire_digest)
         << "cell " << i;
+  }
+}
+
+// The event order of every (scenario, pattern) cell at seed 1, recorded
+// while each campaign still assembled its cells by hand: a change to the
+// shared cell's construction, fork or wiring order moves these.
+TEST(ResilienceCampaignTest, CellFireDigestsMatchParent) {
+  constexpr uint64_t kGolden[kResilienceScenarios][kResiliencePatterns] = {
+      {0xf1c7d084c7bbf3bdULL, 0xf1c7d084c7bbf3bdULL, 0xd1f53bf7aa37d7c4ULL,
+       0x7f2ccd2a7c44101cULL, 0x29a7ef2e7a73180fULL},
+      {0x2a87d0b27063980bULL, 0x2a87d0b27063980bULL, 0x5920656f94831164ULL,
+       0x2ece19abd964a268ULL, 0x282b6b7a912ed0a5ULL},
+      {0x708a171580ece5b2ULL, 0xe8a781796a65310aULL, 0x4a360623f162aaf2ULL,
+       0x72131bf6cb1fc658ULL, 0xe16788169bc758acULL},
+      {0x3c25ac17b2ad0f53ULL, 0x53781521c737be1cULL, 0x609754ec3bcd19f1ULL,
+       0x70db717649fb4c32ULL, 0xd1002ea083ba512eULL}};
+  const ResilienceCampaignParams p;
+  for (int s = 0; s < kResilienceScenarios; ++s) {
+    for (int q = 0; q < kResiliencePatterns; ++q) {
+      const ResilienceCellOutcome o =
+          RunResilienceCell(p, static_cast<ResilienceScenario>(s),
+                            static_cast<ResiliencePattern>(q), 1);
+      EXPECT_EQ(o.fire_digest, kGolden[s][q])
+          << ResilienceScenarioName(static_cast<ResilienceScenario>(s))
+          << " x "
+          << ResiliencePatternName(static_cast<ResiliencePattern>(q))
+          << " digest 0x" << std::hex << o.fire_digest;
+      EXPECT_TRUE(o.ok) << (o.violations.empty() ? "" : o.violations[0]);
+    }
   }
 }
 
