@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 
@@ -76,7 +77,13 @@ int main(int argc, char** argv) {
               params.seeds, params.nodes, params.run_for.ToSeconds(),
               params.settle.ToSeconds());
 
-  const fst::CampaignResult result = fst::RunCampaign(params);
+  fst::CampaignResult result;
+  try {
+    result = fst::RunCampaign(params);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   std::printf("  %-6s %-3s %8s %8s %8s %9s %7s %7s\n", "seed", "ok",
               "goodput", "crashes", "recover", "repaired", "misses",

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 
@@ -61,8 +62,13 @@ int main(int argc, char** argv) {
       fst::kResilienceScenarios, fst::kResiliencePatterns, params.seeds,
       params.nodes, params.run_for.ToSeconds(), params.settle.ToSeconds());
 
-  const fst::ResilienceCampaignResult result =
-      fst::RunResilienceCampaign(params);
+  fst::ResilienceCampaignResult result;
+  try {
+    result = fst::RunResilienceCampaign(params);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   // The ablation table: one row per (scenario, pattern), the same
   // aggregate the scorecard JSON prints.

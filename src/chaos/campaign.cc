@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/chaos/cell.h"
@@ -115,6 +117,10 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
 }
 
 CampaignResult RunCampaign(const CampaignParams& p) {
+  if (p.seeds < 0) {
+    throw std::invalid_argument("CampaignParams.seeds must be >= 0, got " +
+                                std::to_string(p.seeds));
+  }
   SweepSpec spec;
   spec.name = p.name;
   spec.seeds.clear();

@@ -139,7 +139,8 @@ struct CampaignResult {
 // Runs one seed end to end (exposed for tests and the closed-form checks).
 SeedOutcome RunChaosSeed(const CampaignParams& params, uint64_t seed);
 
-// Runs the full campaign across the sweep harness.
+// Runs the full campaign across the sweep harness. Throws
+// std::invalid_argument when `seeds` is negative.
 CampaignResult RunCampaign(const CampaignParams& params);
 
 }  // namespace fst

@@ -1,6 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace fst {
@@ -123,7 +124,7 @@ void KvService::ApplyControl(const ControlCommand& cmd) {
 }
 
 uint64_t KvService::BeginTrace(SimTime now) {
-  if (recorder_ == nullptr || !recorder_->enabled()) {
+  if (recorder_ == nullptr || !recorder_->keeps_spans()) {
     return 0;
   }
   const uint64_t id = recorder_->NextRequestId();
@@ -383,6 +384,9 @@ void KvService::OnAttemptComplete(const AttemptCtx& ctx, bool ok) {
           auto& v = acked_[ctx.key];
           if (ctx.version > v) {
             v = ctx.version;
+            if (params_.recovery.enabled) {
+              repair_index_.insert(ctx.key);
+            }
           }
         }
         FinishOp(ctx.op_id, true);
@@ -664,7 +668,17 @@ void KvService::OnNodeCrash(int node) {
   ++crashes_;
   // Invalidate any in-flight weight ramp; the node is gone again.
   ++ramp_gen_[static_cast<size_t>(node)];
-  store_[static_cast<size_t>(node)].clear();
+  auto& store = store_[static_cast<size_t>(node)];
+  if (params_.recovery.enabled) {
+    // The wiped copies are the only ones a store ever loses: every acked
+    // key the node held may now lack a copy.
+    for (const auto& entry : store) {
+      if (acked_.count(entry.first) != 0) {
+        repair_index_.insert(entry.first);
+      }
+    }
+  }
+  store.clear();
   // Detection (eject + handoff) happens through the normal observation
   // paths: in-flight requests fail (ObserveFailure) or the heartbeat
   // timeout fires — the service has no oracle into device state.
@@ -762,18 +776,31 @@ void KvService::RepairStep() {
     repair_active_ = false;
     return;
   }
-  auto it = acked_.lower_bound(repair_cursor_);
-  const size_t n = acked_.size();
-  for (size_t scanned = 0; scanned < n; ++scanned) {
-    if (it == acked_.end()) {
-      it = acked_.begin();
+  if (repair_epoch_ != shard_map_.epoch()) {
+    // Ownership moved: any key may have gained a replica that lacks it.
+    repair_index_.clear();
+    for (const auto& entry : acked_) {
+      repair_index_.emplace_hint(repair_index_.end(), entry.first);
     }
-    const uint64_t key = it->first;
-    const uint64_t ver = it->second;
-    shard_map_.ReplicasFor(key, replicas_scratch_);
+    repair_epoch_ = shard_map_.epoch();
+  }
+  // Walks the index from the cursor, wrapping once. Keys outside it have
+  // no repair target, so this visits the same candidates in the same
+  // order as a walk of the whole ledger.
+  auto it = repair_index_.lower_bound(repair_cursor_);
+  const size_t n = repair_index_.size();
+  for (size_t scanned = 0; scanned < n; ++scanned) {
+    if (it == repair_index_.end()) {
+      it = repair_index_.begin();
+    }
+    const uint64_t key = *it;
+    const uint64_t ver = acked_.find(key)->second;
+    const std::vector<int>& replicas = SegmentFor(key).replicas;
     int target = -1;
-    for (int r : replicas_scratch_) {
+    bool all_held = !replicas.empty();
+    for (int r : replicas) {
       if (nodes_[static_cast<size_t>(r)]->has_failed()) {
+        all_held = false;
         continue;
       }
       const auto& s = store_[static_cast<size_t>(r)];
@@ -816,7 +843,9 @@ void KvService::RepairStep() {
         return;
       }
     }
-    ++it;
+    // Every replica live and current: the key leaves the index until an
+    // ack, a crash or a rebalance puts it back.
+    it = target < 0 && all_held ? repair_index_.erase(it) : std::next(it);
   }
   // Full pass found nothing to do: go idle until the next kick.
   repair_active_ = false;
@@ -841,6 +870,27 @@ int64_t KvService::lost_acked_writes() const {
     }
   }
   return lost;
+}
+
+bool KvService::RepairIndexCovers() const {
+  if (!params_.recovery.enabled || repair_epoch_ != shard_map_.epoch()) {
+    return true;
+  }
+  std::vector<int> replicas;
+  for (const auto& [key, ver] : acked_) {
+    if (repair_index_.count(key) != 0) {
+      continue;
+    }
+    shard_map_.ReplicasFor(key, replicas);
+    for (int r : replicas) {
+      const auto& s = store_[static_cast<size_t>(r)];
+      const auto f = s.find(key);
+      if (f == s.end() || f->second < ver) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 int64_t KvService::under_replicated_keys() const {

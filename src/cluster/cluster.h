@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -256,6 +257,12 @@ class KvService {
   // Acked keys whose current replica set holds fewer copies than it should:
   // post-repair this must be zero (replication factor restored).
   int64_t under_replicated_keys() const;
+  // Differential probe of the repair index: full-scans the acked ledger and
+  // returns false if a key outside the index is missing from, or stale on,
+  // any replica of its current set. True while the shard map has moved
+  // since the last repair step (that step re-indexes every key) and when
+  // recovery is off (no index is kept).
+  bool RepairIndexCovers() const;
 
  private:
   // Attempt kinds for the enum-dispatched completion path.
@@ -358,12 +365,10 @@ class KvService {
   OpTable ops_;
 
   // Hot-path caches: per-node registry channels (skip the name hash on
-  // every observation), one reusable DepthFn, and scratch buffers for the
-  // repair scan's replica sets and for ranking (never reused across a call
-  // that can re-enter ranking).
+  // every observation), one reusable DepthFn, and a scratch buffer for
+  // ranking (never reused across a call that can re-enter ranking).
   std::vector<PerformanceStateRegistry::ObsChannel> channels_;
   ReplicaSelector::DepthFn depth_fn_;
-  std::vector<int> replicas_scratch_;
   std::vector<int> ranked_scratch_;
 
   // Epoch-cached routing state, one entry per consistent-hash ring
@@ -408,6 +413,13 @@ class KvService {
   SimTime recovery_until_;
   bool repair_active_ = false;
   uint64_t repair_cursor_ = 0;
+  // Repair index (kept when recovery.enabled): the acked keys that may lack
+  // a copy. A key outside it is held at >= its acked version by every
+  // replica of its current set, so RepairStep walks only this set and finds
+  // the same next key as a scan of the whole ledger. `repair_epoch_` is the
+  // shard-map epoch the invariant was last established against.
+  std::set<uint64_t> repair_index_;
+  uint64_t repair_epoch_ = 0;
   int crashes_ = 0;
   int recoveries_ = 0;
   int64_t keys_repaired_ = 0;

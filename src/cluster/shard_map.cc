@@ -134,8 +134,9 @@ uint64_t ShardMap::OwnershipDigest(int samples) const {
       h *= 1099511628211ull;
     }
   };
+  std::vector<int> replicas;
   for (int i = 0; i < samples; ++i) {
-    const std::vector<int> replicas = ReplicasFor(static_cast<uint64_t>(i));
+    ReplicasFor(static_cast<uint64_t>(i), replicas);
     fold(replicas.size());
     for (int r : replicas) {
       fold(static_cast<uint64_t>(r));
@@ -149,8 +150,9 @@ double ShardMap::OwnershipShare(int node, int samples) const {
     return 0.0;
   }
   int hits = 0;
+  std::vector<int> replicas;
   for (int i = 0; i < samples; ++i) {
-    const std::vector<int> replicas = ReplicasFor(static_cast<uint64_t>(i));
+    ReplicasFor(static_cast<uint64_t>(i), replicas);
     if (!replicas.empty() && replicas.front() == node) {
       ++hits;
     }

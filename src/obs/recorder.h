@@ -11,8 +11,11 @@
 //     counters, queue depth, marks) in `capacity` preallocated slots. When
 //     it wraps, the oldest are overwritten and counted as dropped
 //     (telemetry keeps the most recent window). `capacity == 0` keeps no
-//     ring: those events are counted and dropped, and only the fault log
-//     is stored — all a cell that just correlates faults needs.
+//     ring and means no spans: the switch, nodes, disks and KvService test
+//     keeps_spans() and build no request id, TraceEvent or Push for a
+//     ring-less recorder, so only the fault log is stored — all a cell
+//     that just correlates faults needs. Ring kinds recorded directly are
+//     still counted and dropped.
 //
 // Cost model: components hold an `EventRecorder*` that defaults to null, so
 // an uninstrumented run pays only a pointer test on the hot path. With a
@@ -38,6 +41,8 @@ class EventRecorder {
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
+  // Whether request spans are worth building: enabled and keeping a ring.
+  bool keeps_spans() const { return enabled_ && capacity_ > 0; }
 
   // Interns a component/label name for use in events.
   uint16_t Intern(const std::string& name) { return table_.Intern(name); }

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/chaos/cell.h"
@@ -327,6 +329,15 @@ size_t ResilienceCampaignResult::CellIndex(int scenario, int pattern,
 
 ResilienceCampaignResult RunResilienceCampaign(
     const ResilienceCampaignParams& p) {
+  for (const auto& [field, value] :
+       {std::pair<const char*, int>{"seeds", p.seeds},
+        {"checkpoint_seeds", p.checkpoint_seeds}}) {
+    if (value < 0) {
+      throw std::invalid_argument(std::string("ResilienceCampaignParams.") +
+                                  field + " must be >= 0, got " +
+                                  std::to_string(value));
+    }
+  }
   SweepSpec spec;
   spec.name = p.name;
   SweepAxis scen_axis;

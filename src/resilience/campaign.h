@@ -206,6 +206,8 @@ CheckpointCellOutcome RunCheckpointCell(const ResilienceCampaignParams& params,
                                         int workload, uint64_t seed);
 
 // The full ablation grid (threaded) plus the checkpoint sub-grid (serial).
+// Throws std::invalid_argument when `seeds` or `checkpoint_seeds` is
+// negative.
 ResilienceCampaignResult RunResilienceCampaign(
     const ResilienceCampaignParams& params);
 

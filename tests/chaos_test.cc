@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/chaos/campaign.h"
+#include "src/chaos/cell.h"
 #include "src/chaos/scenario.h"
 #include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
@@ -534,6 +535,107 @@ TEST(CrashRecoveryTest, ServiceHealsAfterScriptedCrash) {
   EXPECT_GT(svc.slo().goodput(), 0);
 }
 
+// Differential check of the repair index against a full scan of the acked
+// ledger: a 4-node cell whose nodes flap, crash and get ejected while
+// writes land. At every slice no key outside the index may lack a copy on
+// its current replica set, and the repair count and event order equal the
+// full-scan repair's (goldens recorded before the index existed).
+TEST(CrashRecoveryTest, RepairIndexCoversLedgerUnderFlapsAndEjections) {
+  Simulator sim(23);
+  FleetParams fleet_params;
+  fleet_params.arrivals_per_sec = 300.0;
+  fleet_params.run_for = Duration::Seconds(14.0);
+  fleet_params.read_fraction = 0.6;
+  fleet_params.key_space = 300;
+  ClientFleet fleet(sim, fleet_params);
+
+  ClusterParams params;
+  params.nodes = 4;
+  params.shard.replication = 2;
+  params.write_quorum = 2;
+  params.retry.enabled = true;
+  params.retry.deadline = Duration::Millis(800);
+  params.recovery.enabled = true;
+  KvService svc(sim, params, std::make_unique<ProportionalSharePolicy>());
+
+  FaultInjector injector(sim);
+  ApplySchedule(sim, svc,
+                ParseDsl("flap node=1 at=2s down=1200ms period=3s n=3;"
+                         "crash node=2 at=6500ms down=1500ms;"
+                         "crash node=0 at=11s down=1s"),
+                injector);
+  // An operator ejection of a live node moves ownership with no data lost.
+  sim.ScheduleAt(At(4.0), [&] {
+    svc.ApplyControl({ControlCommand::Kind::kEject, 3, 0.0});
+  });
+  sim.ScheduleAt(At(9.0), [&] {
+    svc.ApplyControl({ControlCommand::Kind::kUneject, 3, 0.0});
+  });
+  svc.StartRecovery(At(20.0));
+
+  bool done = false;
+  fleet.Run(svc, [&](const FleetResult&) { done = true; });
+  for (int slice = 1; slice <= 44; ++slice) {
+    const double t = 0.5 * slice;
+    sim.RunUntil(At(t));
+    EXPECT_TRUE(svc.RepairIndexCovers()) << "t=" << t << "s";
+  }
+  RunAndExpect(sim, done);
+  EXPECT_TRUE(svc.RepairIndexCovers());
+
+  EXPECT_GE(svc.crashes(), 5);
+  EXPECT_EQ(svc.keys_repaired(), 673);
+  EXPECT_EQ(sim.fire_digest(), 0x6380d6fb7cf38e09ULL);
+  EXPECT_EQ(svc.under_replicated_keys(), 0);
+}
+
+// The robustness checker fires, with its exact strings, on cells whose
+// params make the invariant unreachable: one crash of node1 while writes
+// land on every key, then recovery runs to quiescence.
+std::vector<std::string> ScriptedCrashViolations(ClusterParams params) {
+  Simulator sim(5);
+  FleetParams fleet_params;
+  fleet_params.arrivals_per_sec = 300.0;
+  fleet_params.run_for = Duration::Seconds(8.0);
+  fleet_params.read_fraction = 0.5;
+  fleet_params.key_space = 200;
+  ClientFleet fleet(sim, fleet_params);
+  params.nodes = 4;
+  params.retry.enabled = true;
+  params.retry.deadline = Duration::Millis(800);
+  params.recovery.enabled = true;
+  KvService svc(sim, params, std::make_unique<ProportionalSharePolicy>());
+  FaultInjector injector(sim);
+  ApplySchedule(sim, svc, ParseDsl("crash node=1 at=4s down=1500ms"),
+                injector);
+  svc.StartRecovery(At(16.0));
+  bool done = false;
+  fleet.Run(svc, [&](const FleetResult&) { done = true; });
+  sim.Run();
+  EXPECT_TRUE(done);
+  std::vector<std::string> violations;
+  CheckRobustness(svc, violations);
+  return violations;
+}
+
+TEST(CheckRobustnessTest, SingleCopyCrashLosesAckedWrites) {
+  ClusterParams params;
+  params.shard.replication = 1;
+  params.write_quorum = 1;
+  const std::vector<std::string> v = ScriptedCrashViolations(params);
+  EXPECT_EQ(v, (std::vector<std::string>{"lost_acked_writes=14",
+                                         "under_replicated_keys=14"}));
+}
+
+TEST(CheckRobustnessTest, RepairOffLeavesKeysUnderReplicated) {
+  ClusterParams params;
+  params.shard.replication = 2;
+  params.write_quorum = 2;
+  params.recovery.repair_keys_per_sec = 0.0;
+  const std::vector<std::string> v = ScriptedCrashViolations(params);
+  EXPECT_EQ(v, (std::vector<std::string>{"under_replicated_keys=32"}));
+}
+
 // ---------------------------------------------------------------------------
 // E23 closed form: goodput through a crash, with and without repair.
 //
@@ -710,6 +812,18 @@ TEST(CampaignTest, MiniCampaignHoldsInvariantsAtAnyThreadCount) {
   p.threads = 3;
   const CampaignResult threaded = RunCampaign(p);
   EXPECT_EQ(serial.ReportJson(), threaded.ReportJson());
+}
+
+// A negative seed count is rejected before any cell runs, naming the field.
+TEST(CampaignTest, RejectsNegativeSeedCount) {
+  CampaignParams p;
+  p.seeds = -1;
+  try {
+    RunCampaign(p);
+    FAIL() << "RunCampaign accepted seeds=-1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "CampaignParams.seeds must be >= 0, got -1");
+  }
 }
 
 // A `retrystorm` entry is both halves of the trigger: the nodes slow down

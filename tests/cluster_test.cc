@@ -123,6 +123,30 @@ TEST(ShardMapTest, EjectUnejectIsIdentityUnderRandomInterleavings) {
   }
 }
 
+// The ownership function's byte identity for three eject sets, recorded
+// before OwnershipDigest/OwnershipShare reused one replica buffer.
+TEST(ShardMapTest, OwnershipDigestAndShareMatchParent) {
+  struct Case {
+    std::vector<int> ejected;
+    uint64_t digest;
+    int node0_primaries;  // of OwnershipShare's 4096 probes
+  };
+  const Case cases[] = {
+      {{}, 0xc0aa1ed75dbb17e2ULL, 678},
+      {{2}, 0x1a40fb6eb71ac323ULL, 725},
+      {{1, 5, 6}, 0x95e460a19eef8ac1ULL, 930},
+  };
+  for (const Case& c : cases) {
+    ShardMap map(8, {64, 3});
+    for (int n : c.ejected) {
+      map.Eject(n);
+    }
+    EXPECT_EQ(map.OwnershipDigest(), c.digest) << c.ejected.size();
+    EXPECT_EQ(map.OwnershipShare(0), c.node0_primaries / 4096.0)
+        << c.ejected.size();
+  }
+}
+
 TEST(ShardMapTest, AllNodesEjectedYieldsEmptySets) {
   ShardMap map(3, {16, 2});
   map.Eject(0);

@@ -7,11 +7,17 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/chaos/scenario.h"
+#include "src/cluster/client.h"
+#include "src/cluster/cluster.h"
+#include "src/core/policy.h"
 #include "src/devices/disk.h"
+#include "src/faults/injector.h"
 #include "src/obs/correlator.h"
 #include "src/obs/event.h"
 #include "src/obs/export.h"
@@ -227,6 +233,57 @@ TEST(ObsTest, ZeroCapacityKeepsOnlyTheFaultLog) {
   ExpectSameEvents(rec.FaultLog(), control);
   StableSortByWhen(control);
   ExpectSameEvents(rec.Events(), control);
+}
+
+// A small telemetry cell (crash plus slowdown under load) on a recorder of
+// `capacity`: what the ring-less campaign cells see, next to a full ring.
+struct TelemetryCellRun {
+  std::vector<TraceEvent> fault_log;
+  uint64_t fire_digest = 0;
+  uint64_t total_recorded = 0;
+};
+
+TelemetryCellRun RunTelemetryCell(size_t capacity) {
+  Simulator sim(17);
+  EventRecorder rec(capacity);
+  FleetParams fleet_params;
+  fleet_params.arrivals_per_sec = 200.0;
+  fleet_params.run_for = Duration::Seconds(6.0);
+  fleet_params.read_fraction = 0.7;
+  fleet_params.key_space = 100;
+  ClientFleet fleet(sim, fleet_params);
+  ClusterParams params;
+  params.nodes = 4;
+  params.write_quorum = 2;
+  params.retry.enabled = true;
+  params.recovery.enabled = true;
+  params.live.enabled = true;
+  KvService svc(sim, params, std::make_unique<ProportionalSharePolicy>(),
+                &rec);
+  FaultInjector injector(sim);
+  injector.set_recorder(&rec);
+  ApplySchedule(sim, svc,
+                ParseDsl("crash node=1 at=2s down=1500ms;"
+                         "slow node=2 at=1s for=2s x4"),
+                injector);
+  const SimTime end = At(9.0);
+  svc.StartRecovery(end);
+  svc.StartTelemetry(end);
+  fleet.Run(svc, [](const FleetResult&) {});
+  sim.Run();
+  return {rec.FaultLog(), sim.fire_digest(), rec.total_recorded()};
+}
+
+// A ring-less recorder builds no spans at all, yet its fault log and the
+// run's event order equal those of a recorder that keeps every span.
+TEST(ObsTest, RingLessRecorderKeepsFaultLogWithoutSpans) {
+  const TelemetryCellRun ringless = RunTelemetryCell(0);
+  const TelemetryCellRun ring = RunTelemetryCell(1 << 16);
+  ASSERT_FALSE(ringless.fault_log.empty());
+  ExpectSameEvents(ringless.fault_log, ring.fault_log);
+  EXPECT_EQ(ringless.fire_digest, ring.fire_digest);
+  EXPECT_EQ(ringless.total_recorded, ringless.fault_log.size());
+  EXPECT_GT(ring.total_recorded, ring.fault_log.size());
 }
 
 // ---------------------------------------------------------------- correlator

@@ -548,6 +548,29 @@ TEST(ResilienceCampaignTest, ScorecardByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// Negative seed counts are rejected before any cell runs, naming the field.
+TEST(ResilienceCampaignTest, RejectsNegativeSeedCounts) {
+  ResilienceCampaignParams p;
+  p.seeds = -1;
+  try {
+    RunResilienceCampaign(p);
+    FAIL() << "accepted seeds=-1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ResilienceCampaignParams.seeds must be >= 0, got -1");
+  }
+  p.seeds = 0;
+  p.checkpoint_seeds = -3;
+  try {
+    RunResilienceCampaign(p);
+    FAIL() << "accepted checkpoint_seeds=-3";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ResilienceCampaignParams.checkpoint_seeds must be >= 0, "
+                 "got -3");
+  }
+}
+
 // The event order of every (scenario, pattern) cell at seed 1, recorded
 // while each campaign still assembled its cells by hand: a change to the
 // shared cell's construction, fork or wiring order moves these.
