@@ -19,8 +19,8 @@
 #include "bench/bench_util.h"
 #include "src/chaos/campaign.h"
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
 #include "src/faults/injector.h"
 
@@ -91,7 +91,7 @@ RepairRun RunRepairGrid(double repair_keys_per_sec, uint64_t seed) {
   fp.run_for = Duration::Seconds(16.0);
   fp.read_fraction = 0.5;  // writes keep the acked ledger growing mid-run
   fp.key_space = 400;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
 
   ClusterParams cp;
   cp.nodes = 4;
@@ -119,12 +119,11 @@ RepairRun RunRepairGrid(double repair_keys_per_sec, uint64_t seed) {
     });
   }
 
-  bool finished = false;
-  fleet.Run(svc, [&](const FleetResult&) { finished = true; });
+  fleet.Run(svc, nullptr);
   sim.Run();
 
   RepairRun out;
-  if (finished) {
+  if (svc.in_flight_ops() == 0) {
     out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
   }
   out.repair_window_s = repaired_at_s < 0.0 ? -1.0 : repaired_at_s - restart_s;

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/fleet.h"
 
@@ -68,11 +67,9 @@ struct ClusterRun {
 };
 
 // One serving run: `slow_frac` of the nodes persistently 2x slow. The
-// front end is either the legacy per-event ClientFleet or the columnar
-// ColumnarFleet — bit-identical serving behavior (pinned by
-// tests/fleet_test.cc), benchmarked side by side.
-ClusterRun RunCluster(int64_t policy_arg, double slow_frac, uint64_t seed,
-                      bool columnar = false) {
+// fleet is built before the service, the fork order the committed
+// baselines were recorded with.
+ClusterRun RunCluster(int64_t policy_arg, double slow_frac, uint64_t seed) {
   Simulator sim(seed);
   BenchTelemetry telemetry("cluster_" +
                            std::string(ClusterPolicyName(policy_arg)) + "_f" +
@@ -82,6 +79,7 @@ ClusterRun RunCluster(int64_t policy_arg, double slow_frac, uint64_t seed,
   fp.run_for = Duration::Seconds(kSeconds);
   fp.read_fraction = 1.0;
   fp.zipf_s = 0.0;
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
 
   ClusterParams cp;
   cp.nodes = kNodes;
@@ -93,60 +91,27 @@ ClusterRun RunCluster(int64_t policy_arg, double slow_frac, uint64_t seed,
   cp.route = policy_arg >= 2 ? RouteMode::kQueueWeighted : RouteMode::kUniform;
   cp.hedge_reads = policy_arg == 3;
   cp.hedge = HedgeParams{Duration::Millis(60), 1};
+  KvService svc(sim, cp, ClusterPolicy(policy_arg),
+                telemetry.recorder_or_null());
+  const int n_slow = static_cast<int>(slow_frac * kNodes + 0.5);
+  for (int i = 0; i < n_slow; ++i) {
+    svc.node(i)->AttachModulator(
+        std::make_shared<ConstantFactorModulator>(2.0));
+  }
 
   ClusterRun out;
-  bool finished = false;
-  if (columnar) {
-    // Service first so the columnar fleet's forks come last (same stream
-    // discipline as the parity tests).
-    KvService svc(sim, cp, ClusterPolicy(policy_arg),
-                  telemetry.recorder_or_null());
-    const int n_slow = static_cast<int>(slow_frac * kNodes + 0.5);
-    for (int i = 0; i < n_slow; ++i) {
-      svc.node(i)->AttachModulator(
-          std::make_shared<ConstantFactorModulator>(2.0));
-    }
-    ColumnarFleetParams cfp;
-    cfp.base = fp;
-    ColumnarFleet fleet(sim, cfp);
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.ops_issued = r.ops_issued;
-      finished = true;
-    });
-    sim.Run();
-    if (finished) {
-      out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
-      out.shed_rate = svc.slo().ShedRate();
-      out.p99_ms = svc.slo().P99Ms();
-      out.p999_ms = svc.slo().P999Ms();
-    }
-    out.ejections = svc.ejections();
-    out.reweights = svc.reweights();
-    out.hedges = svc.hedge_stats().hedges_launched;
-  } else {
-    ClientFleet fleet(sim, fp);
-    KvService svc(sim, cp, ClusterPolicy(policy_arg),
-                  telemetry.recorder_or_null());
-    const int n_slow = static_cast<int>(slow_frac * kNodes + 0.5);
-    for (int i = 0; i < n_slow; ++i) {
-      svc.node(i)->AttachModulator(
-          std::make_shared<ConstantFactorModulator>(2.0));
-    }
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.ops_issued = r.ops_issued;
-      finished = true;
-    });
-    sim.Run();
-    if (finished) {
-      out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
-      out.shed_rate = svc.slo().ShedRate();
-      out.p99_ms = svc.slo().P99Ms();
-      out.p999_ms = svc.slo().P999Ms();
-    }
-    out.ejections = svc.ejections();
-    out.reweights = svc.reweights();
-    out.hedges = svc.hedge_stats().hedges_launched;
+  fleet.Run(svc, nullptr);
+  sim.Run();
+  out.ops_issued = fleet.result().ops_issued;
+  if (svc.in_flight_ops() == 0) {
+    out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
+    out.shed_rate = svc.slo().ShedRate();
+    out.p99_ms = svc.slo().P99Ms();
+    out.p999_ms = svc.slo().P999Ms();
   }
+  out.ejections = svc.ejections();
+  out.reweights = svc.reweights();
+  out.hedges = svc.hedge_stats().hedges_launched;
   out.fire_digest = sim.fire_digest();
   out.events_fired = sim.events_fired();
   telemetry.Export();
@@ -210,24 +175,6 @@ void BM_ClusterServe(benchmark::State& state) {
   SetServeCounters(state, result);
 }
 BENCHMARK(BM_ClusterServe)
-    ->ArgsProduct({{0, 1, 2, 3}, {25, 50}})
-    ->Unit(benchmark::kMillisecond);
-
-// The same grid on the columnar batched front end; the wall-clock delta
-// between the two is front-end cost. Serving outcomes differ slightly from
-// BM_ClusterServe only because the legacy arm keeps its historical
-// fleet-before-service RNG fork order (baseline comparability) while the
-// columnar arm forks service-first; with matched fork order the two are
-// bit-identical (pinned in tests/fleet_test.cc).
-void BM_ClusterServeColumnar(benchmark::State& state) {
-  const double slow_frac = static_cast<double>(state.range(1)) / 100.0;
-  ClusterRun result;
-  for (auto _ : state) {
-    result = RunCluster(state.range(0), slow_frac, 3, /*columnar=*/true);
-  }
-  SetServeCounters(state, result);
-}
-BENCHMARK(BM_ClusterServeColumnar)
     ->ArgsProduct({{0, 1, 2, 3}, {25, 50}})
     ->Unit(benchmark::kMillisecond);
 

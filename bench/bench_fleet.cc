@@ -10,10 +10,9 @@
 //   * op-state churn     — slab OpTable allocate/free vs the old
 //                          shared_ptr<op-state> + capturing-callback pair.
 // Macro benches then run the whole serving stack: the E22-style cell
-// (legacy vs columnar front end, sim_ops_per_sec counters — the honest
-// end-to-end speedup, smaller than the micros because node compute and
-// the switch dominate), and a many-client attribution cell showing
-// per-client tallies stay cheap at population scale.
+// (sim_ops_per_sec counter; node compute and the switch dominate it), and
+// a many-client attribution cell showing per-client tallies stay cheap at
+// population scale.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/arrivals.h"
 #include "src/cluster/fleet/fleet.h"
@@ -143,7 +141,7 @@ void BM_ArrivalsBatchedWindows(benchmark::State& state) {
     fp.read_fraction = 0.9;
     fp.key_space = kKeySpace;
     fp.zipf_s = 1.1;
-    ArrivalGenerator gen(sim, fp, ArrivalMode::kPoisson, {}, 0);
+    ArrivalGenerator gen(sim, fp, 0);
     ArrivalBatch batch;
     const SimTime horizon = sim.Now() + fp.run_for;
     int64_t issued = 0;
@@ -297,7 +295,7 @@ void BM_ClientOpCoreColumnar(benchmark::State& state) {
     fp.read_fraction = 0.9;
     fp.key_space = kKeySpace;
     fp.zipf_s = 1.1;
-    ArrivalGenerator gen(sim, fp, ArrivalMode::kPoisson, {}, 0);
+    ArrivalGenerator gen(sim, fp, 0);
     ArrivalBatch batch;
     OpTable ops;
     SloTracker slo(Duration::Millis(300));
@@ -337,7 +335,7 @@ void BM_ClientOpCoreColumnar(benchmark::State& state) {
 BENCHMARK(BM_ClientOpCoreColumnar)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// End to end: the E22-style serving cell, legacy vs columnar front end
+// End to end: the E22-style serving cell
 // ---------------------------------------------------------------------------
 
 struct ServeCellOut {
@@ -346,8 +344,8 @@ struct ServeCellOut {
   uint64_t events = 0;
 };
 
-ServeCellOut RunServeCell(bool columnar, double lambda, double seconds,
-                          uint32_t num_clients, uint64_t seed) {
+ServeCellOut RunServeCell(double lambda, double seconds, uint32_t num_clients,
+                          uint64_t seed) {
   Simulator sim(seed);
   ClusterParams cp;
   cp.nodes = 4;
@@ -370,24 +368,15 @@ ServeCellOut RunServeCell(bool columnar, double lambda, double seconds,
 
   ServeCellOut out;
   bool finished = false;
-  if (columnar) {
-    ColumnarFleetParams cfp;
-    cfp.base = fp;
-    cfp.num_clients = num_clients;
-    ColumnarFleet fleet(sim, cfp);
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.ops_issued = r.ops_issued;
-      finished = true;
-    });
-    sim.Run();
-  } else {
-    ClientFleet fleet(sim, fp);
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.ops_issued = r.ops_issued;
-      finished = true;
-    });
-    sim.Run();
-  }
+  ColumnarFleetParams cfp;
+  cfp.base = fp;
+  cfp.num_clients = num_clients;
+  ColumnarFleet fleet(sim, cfp);
+  fleet.Run(svc, [&](const FleetResult& r) {
+    out.ops_issued = r.ops_issued;
+    finished = true;
+  });
+  sim.Run();
   if (finished) {
     out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
   }
@@ -395,13 +384,13 @@ ServeCellOut RunServeCell(bool columnar, double lambda, double seconds,
   return out;
 }
 
-// Args: {columnar}. sim_ops_per_sec is the headline: simulated serving ops
-// retired per second of wall clock.
+// sim_ops_per_sec is the headline: simulated serving ops retired per second
+// of wall clock. The lone Arg(1) keeps the name the committed baseline
+// recorded for the columnar arm.
 void BM_FleetServeE22(benchmark::State& state) {
-  const bool columnar = state.range(0) != 0;
   ServeCellOut out;
   for (auto _ : state) {
-    out = RunServeCell(columnar, 320.0, 10.0, 0, 3);
+    out = RunServeCell(320.0, 10.0, 0, 3);
     state.SetItemsProcessed(state.items_processed() + out.ops_issued);
   }
   state.counters["sim_ops_per_sec"] = benchmark::Counter(
@@ -409,9 +398,8 @@ void BM_FleetServeE22(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
   state.counters["goodput_per_sec"] = out.goodput_per_sec;
   state.counters["events"] = static_cast<double>(out.events);
-  state.SetLabel(columnar ? "columnar" : "legacy");
 }
-BENCHMARK(BM_FleetServeE22)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetServeE22)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // A population of attributed clients: every op carries a client id, tallies
 // folded into ClientDigest. Cost per op must stay flat as clients grow —
@@ -420,7 +408,7 @@ void BM_FleetManyClients(benchmark::State& state) {
   const uint32_t clients = static_cast<uint32_t>(state.range(0));
   ServeCellOut out;
   for (auto _ : state) {
-    out = RunServeCell(true, 2000.0, 2.0, clients, 3);
+    out = RunServeCell(2000.0, 2.0, clients, 3);
     state.SetItemsProcessed(state.items_processed() + out.ops_issued);
   }
   state.counters["sim_ops_per_sec"] = benchmark::Counter(

@@ -11,7 +11,7 @@
 //
 //   $ ./examples/chaos_campaign [seeds] [threads] [out_dir] [live]
 //
-// seeds:   campaign size (default 50).
+// seeds:   campaign size (default 50; at least 1).
 // threads: sweep worker threads (default FST_SWEEP_THREADS or hardware);
 //          the campaign JSON is byte-identical for any thread count — CI
 //          diffs a 1-thread run against a 4-thread run.
@@ -63,6 +63,14 @@ int main(int argc, char** argv) {
   if (argc > 4 && std::string(argv[4]) == "control") {
     params.control_plane = true;
     params.name = "chaos_control";
+  }
+
+  // Zero seeds would report every invariant as holding on no evidence;
+  // atoi also reads a non-numeric count as 0.
+  if (params.seeds < 1) {
+    std::fprintf(stderr, "seeds must be a positive integer, got \"%s\"\n",
+                 argv[1]);
+    return 1;
   }
 
   std::error_code ec;

@@ -24,8 +24,8 @@
 
 #include "src/analysis/experiment.h"
 #include "src/analysis/table.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/devices/modulators.h"
 #include "src/faults/catalog.h"
 #include "src/harness/sweep.h"
@@ -102,7 +102,7 @@ fst::CellResult ServeCell(FaultKind fault, const fst::CellPoint& point) {
   fp.run_for = fst::Duration::Seconds(kSeconds);
   fp.read_fraction = 1.0;
   fp.zipf_s = 0.0;
-  fst::ClientFleet fleet(sim, fp);
+  fst::ColumnarFleet fleet(sim, fst::ColumnarFleetParams{fp});
 
   fst::ClusterParams cp;
   cp.nodes = kNodes;
@@ -140,12 +140,14 @@ fst::CellResult ServeCell(FaultKind fault, const fst::CellPoint& point) {
       break;
   }
 
-  bool finished = false;
-  fleet.Run(svc, [&finished](const fst::FleetResult&) { finished = true; });
+  fleet.Run(svc, nullptr);
   sim.Run();
+  const fst::FleetResult& res = fleet.result();
+  const bool drained = res.ops_issued == res.ops_ok + res.ops_failed &&
+                       svc.in_flight_ops() == 0;
 
   fst::CellResult r;
-  r.value = finished ? svc.slo().GoodputPerSec(fp.run_for) : 0.0;
+  r.value = drained ? svc.slo().GoodputPerSec(fp.run_for) : 0.0;
   r.fire_digest = sim.fire_digest();
   r.events_fired = sim.events_fired();
   r.metrics.emplace_back("shed_rate", svc.slo().ShedRate());

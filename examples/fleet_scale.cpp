@@ -1,6 +1,6 @@
 // Million-client serving cell on the columnar fleet core, as a CLI.
 //
-// Three modes, each a CI gate for one of the columnar front end's claims:
+// Two modes, each a CI gate for one of the columnar front end's claims:
 //
 //   cell [clients] [nodes] [lambda] [seconds]
 //       One open-loop serving cell with per-client attribution (default
@@ -11,18 +11,12 @@
 //       digest, and wall-clock sim throughput. Run twice, the digests must
 //       match; CI compares them across runs.
 //
-//   compare [seconds]
-//       Differential test: the legacy per-event ClientFleet vs the
-//       ColumnarFleet on identical seeded cells (policies {ignore,
-//       proportional} x seeds {3, 4}). FleetResult counts and the service's
-//       SLO ReportJson must match byte-for-byte. Exit 2 on any divergence.
-//
 //   sweep [threads_a] [threads_b]
 //       The E22-style mini grid through the parallel SweepRunner at two
 //       thread counts (default 1 vs 4); the sweep report JSON must be
 //       byte-identical. Exit 2 otherwise.
 //
-// Exit status: 0 on success, 2 on a determinism/parity violation.
+// Exit status: 0 on success, 2 on a determinism violation.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
@@ -54,7 +47,6 @@ struct CellSpec {
 
 struct CellOut {
   fst::FleetResult fleet;
-  std::string slo_json;
   double goodput_per_sec = 0.0;
   uint64_t fire_digest = 0;
   uint64_t client_digest = 0;
@@ -69,7 +61,7 @@ std::unique_ptr<fst::ReactionPolicy> PolicyFor(int kind) {
   return std::make_unique<fst::ProportionalSharePolicy>(8.0);
 }
 
-CellOut RunCell(const CellSpec& spec, bool columnar) {
+CellOut RunCell(const CellSpec& spec) {
   const auto wall0 = std::chrono::steady_clock::now();
   fst::Simulator sim(spec.seed);
   fst::ClusterParams cp;
@@ -94,30 +86,20 @@ CellOut RunCell(const CellSpec& spec, bool columnar) {
 
   CellOut out;
   bool finished = false;
-  if (columnar) {
-    fst::ColumnarFleetParams cfp;
-    cfp.base = fp;
-    cfp.num_clients = spec.clients;
-    fst::ColumnarFleet fleet(sim, cfp);
-    fleet.Run(svc, [&](const fst::FleetResult& r) {
-      out.fleet = r;
-      finished = true;
-    });
-    sim.Run();
-    out.client_digest = fleet.ClientDigest();
-  } else {
-    fst::ClientFleet fleet(sim, fp);
-    fleet.Run(svc, [&](const fst::FleetResult& r) {
-      out.fleet = r;
-      finished = true;
-    });
-    sim.Run();
-  }
+  fst::ColumnarFleetParams cfp;
+  cfp.base = fp;
+  cfp.num_clients = spec.clients;
+  fst::ColumnarFleet fleet(sim, cfp);
+  fleet.Run(svc, [&](const fst::FleetResult& r) {
+    out.fleet = r;
+    finished = true;
+  });
+  sim.Run();
+  out.client_digest = fleet.ClientDigest();
   if (!finished) {
     std::fprintf(stderr, "cell did not drain\n");
     std::exit(2);
   }
-  out.slo_json = svc.slo().ReportJson(fp.run_for);
   out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
   out.fire_digest = sim.fire_digest();
   out.events = sim.events_fired();
@@ -140,7 +122,7 @@ int RunCellMode(int argc, char** argv) {
 
   std::printf("fleet cell: %u clients, %d nodes, %.0f ops/s for %.0fs sim\n",
               spec.clients, spec.nodes, spec.lambda, spec.seconds);
-  const CellOut out = RunCell(spec, /*columnar=*/true);
+  const CellOut out = RunCell(spec);
   std::printf("  issued=%lld ok=%lld failed=%lld goodput/s=%.1f\n",
               static_cast<long long>(out.fleet.ops_issued),
               static_cast<long long>(out.fleet.ops_ok),
@@ -153,42 +135,6 @@ int RunCellMode(int argc, char** argv) {
   std::printf("  wall=%.1fs sim_ops_per_wall_sec=%.0f\n", out.wall_seconds,
               static_cast<double>(out.fleet.ops_issued) /
                   (out.wall_seconds > 0 ? out.wall_seconds : 1.0));
-  return 0;
-}
-
-int RunCompareMode(int argc, char** argv) {
-  const double seconds = argc > 2 ? std::atof(argv[2]) : 10.0;
-  int bad = 0;
-  for (const int policy : {0, 2}) {
-    for (const uint64_t seed : {3ull, 4ull}) {
-      CellSpec spec;
-      spec.policy = policy;
-      spec.seed = seed;
-      spec.seconds = seconds;
-      const CellOut legacy = RunCell(spec, /*columnar=*/false);
-      const CellOut col = RunCell(spec, /*columnar=*/true);
-      const bool ok = legacy.fleet.ops_issued == col.fleet.ops_issued &&
-                      legacy.fleet.ops_ok == col.fleet.ops_ok &&
-                      legacy.fleet.ops_failed == col.fleet.ops_failed &&
-                      legacy.slo_json == col.slo_json;
-      std::printf("  policy=%d seed=%llu issued=%lld/%lld slo_json=%s : %s\n",
-                  policy, static_cast<unsigned long long>(seed),
-                  static_cast<long long>(legacy.fleet.ops_issued),
-                  static_cast<long long>(col.fleet.ops_issued),
-                  legacy.slo_json == col.slo_json ? "match" : "DIFF",
-                  ok ? "ok" : "MISMATCH");
-      if (!ok) {
-        ++bad;
-        std::fprintf(stderr, "legacy: %s\ncolumnar: %s\n",
-                     legacy.slo_json.c_str(), col.slo_json.c_str());
-      }
-    }
-  }
-  if (bad > 0) {
-    std::fprintf(stderr, "compare: %d cell(s) diverged\n", bad);
-    return 2;
-  }
-  std::printf("compare: all cells byte-identical across front ends\n");
   return 0;
 }
 
@@ -205,7 +151,7 @@ int RunSweepMode(int argc, char** argv) {
     cs.seed = point.seed;
     cs.seconds = 5.0;
     cs.clients = 10000;
-    const CellOut out = RunCell(cs, /*columnar=*/true);
+    const CellOut out = RunCell(cs);
     fst::CellResult r;
     r.point = point;
     r.value = out.goodput_per_sec;
@@ -239,12 +185,9 @@ int main(int argc, char** argv) {
   if (mode == "cell") {
     return RunCellMode(argc, argv);
   }
-  if (mode == "compare") {
-    return RunCompareMode(argc, argv);
-  }
   if (mode == "sweep") {
     return RunSweepMode(argc, argv);
   }
-  std::fprintf(stderr, "usage: %s [cell|compare|sweep] ...\n", argv[0]);
+  std::fprintf(stderr, "usage: %s [cell|sweep] ...\n", argv[0]);
   return 1;
 }

@@ -9,7 +9,7 @@
 //
 //   $ ./examples/resilience_campaign [seeds] [threads] [out_dir] [control]
 //
-// seeds:   seeds per grid cell (default 8).
+// seeds:   seeds per grid cell (default 8; at least 1).
 // threads: sweep worker threads (default FST_SWEEP_THREADS or hardware);
 //          resilience_scorecard.json is byte-identical at any count — CI
 //          diffs a 1-thread run against a 4-thread run.
@@ -47,6 +47,14 @@ int main(int argc, char** argv) {
   if (argc > 4 && std::string(argv[4]) == "control") {
     params.control_plane = true;
     params.name = "resilience_control";
+  }
+
+  // Zero seeds would report every invariant as holding on no evidence;
+  // atoi also reads a non-numeric count as 0.
+  if (params.seeds < 1) {
+    std::fprintf(stderr, "seeds must be a positive integer, got \"%s\"\n",
+                 argv[1]);
+    return 1;
   }
 
   std::error_code ec;

@@ -54,7 +54,7 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   if (group) {
     group->Start(end_of_run);
   }
-  cell.fleet().Run(svc, [](const FleetResult&) {});
+  cell.fleet().Run(svc, nullptr);
   sim.Run();
 
   SeedOutcome out;

@@ -16,8 +16,10 @@ ServingCell::ServingCell(Simulator& sim, FleetParams fleet,
     : recorder_(0),
       fleet_(sim,
              [&] {
-               fleet.surges = SurgeWindows(schedule);
-               return std::move(fleet);
+               ColumnarFleetParams p;
+               p.base = std::move(fleet);
+               p.base.surges = SurgeWindows(schedule);
+               return p;
              }()),
       service_(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
                cluster.live.enabled ? &recorder_ : nullptr),

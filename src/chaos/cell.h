@@ -1,19 +1,24 @@
 // One campaign serving cell, built and checked in one place: an open-loop
-// ClientFleet serving a KvService through a chaos schedule, optionally under
+// ColumnarFleet serving a KvService through a chaos schedule, optionally under
 // a consensus control plane. The chaos campaign and the resilience grid both
 // build their cells here, on the caller's Simulator.
 //
 // Construction order is what campaign determinism depends on: each part
 // forks its RNG streams off the simulator root when built, so the member
-// order is the fork order — ClientFleet (arrival, key), KvService (selector,
-// retry), then the ConsensusGroup, built only when consensus params are
-// given so a cell without a control plane sees no shifted stream. The
+// order is the fork order — ColumnarFleet (arrival, key), KvService
+// (selector, retry), then the ConsensusGroup, built only when consensus
+// params are given so a cell without a control plane sees no shifted
+// stream. The
 // FaultInjector draws nothing. Then BindControlPlane, then ApplySchedule,
 // resolving `node=leader` events through the group whenever one exists.
 //
 // Derived, not configured: the ring-less EventRecorder(0) is attached to the
 // service, group and injector exactly when `cluster.live.enabled`, and
 // FleetParams::surges comes from SurgeWindows(schedule).
+//
+// Run the fleet with no `done` callback (Run(service, nullptr)): a `done`
+// arms the fleet's drain tick, whose events would join the cell's event
+// order.
 //
 // Starting stays with the caller: start calls schedule events and
 // equal-time events fire in schedule order, so the start sequence is part of
@@ -28,6 +33,7 @@
 #include <vector>
 
 #include "src/chaos/scenario.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/consensus/raft.h"
 #include "src/obs/correlator.h"
 #include "src/obs/live/scorecard.h"
@@ -43,7 +49,7 @@ class ServingCell {
               const std::optional<ConsensusParams>& consensus,
               const ChaosSchedule& schedule);
 
-  ClientFleet& fleet() { return fleet_; }
+  ColumnarFleet& fleet() { return fleet_; }
   KvService& service() { return service_; }
   ConsensusGroup* group() { return group_.get(); }  // null: no control plane
   FaultInjector& injector() { return injector_; }
@@ -53,7 +59,7 @@ class ServingCell {
 
  private:
   EventRecorder recorder_;
-  ClientFleet fleet_;
+  ColumnarFleet fleet_;
   KvService service_;
   std::unique_ptr<ConsensusGroup> group_;
   FaultInjector injector_;

@@ -33,7 +33,7 @@
 //     open-loop arrival rate surges by `surge` for the window — the
 //     overload trigger for retry-driven metastable collapse. The slowdown
 //     half is injected by ApplySchedule; the arrival half is returned by
-//     SurgeWindows(), which ServingCell hands to its ClientFleet.
+//     SurgeWindows(), which ServingCell hands to its ColumnarFleet.
 //
 // Besides a fixed index, `node=` accepts the selector `leader`: the event
 // binds to *whoever leads the consensus group at fire time*, resolved by
@@ -49,8 +49,8 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/arrivals.h"
 #include "src/faults/injector.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/time.h"
@@ -180,7 +180,7 @@ void ApplySchedule(Simulator& sim, KvService& service,
 // order: the open-loop client fleet multiplies its arrival rate by
 // `factor` over [at, at + duration). ApplySchedule injects only the
 // service-side slowdown; ServingCell (src/chaos/cell.h) hands these
-// windows to its ClientFleet as FleetParams::surges.
+// windows to its ColumnarFleet as FleetParams::surges.
 std::vector<ArrivalSurge> SurgeWindows(const ChaosSchedule& schedule);
 
 }  // namespace fst

@@ -1,19 +1,67 @@
 #include "src/cluster/fleet/arrivals.h"
 
+#include <cmath>
+#include <stdexcept>
+
 namespace fst {
 
+void ValidateFleetParams(const FleetParams& params) {
+  if (!(params.arrivals_per_sec > 0.0) ||
+      !std::isfinite(params.arrivals_per_sec)) {
+    throw std::invalid_argument(
+        "FleetParams.arrivals_per_sec must be positive and finite");
+  }
+  if (params.run_for < Duration::Zero()) {
+    throw std::invalid_argument("FleetParams.run_for must be >= 0");
+  }
+  if (!(params.read_fraction >= 0.0 && params.read_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "FleetParams.read_fraction must be in [0, 1]");
+  }
+  if (params.key_space < 1) {
+    throw std::invalid_argument("FleetParams.key_space must be >= 1");
+  }
+  if (!std::isfinite(params.zipf_s)) {
+    throw std::invalid_argument("FleetParams.zipf_s must be finite");
+  }
+  for (const ArrivalSurge& s : params.surges) {
+    if (!(s.factor > 0.0) || !std::isfinite(s.factor)) {
+      throw std::invalid_argument(
+          "ArrivalSurge.factor must be positive and finite");
+    }
+    if (s.at < Duration::Zero() || s.duration < Duration::Zero()) {
+      throw std::invalid_argument("ArrivalSurge times must be >= 0");
+    }
+  }
+}
+
 ArrivalGenerator::ArrivalGenerator(Simulator& sim, const FleetParams& base,
-                                   ArrivalMode mode,
-                                   std::vector<MmppPhase> phases,
                                    uint32_t num_clients)
-    : base_(base), mode_(mode), phases_(std::move(phases)),
-      num_clients_(num_clients), arrival_rng_(sim.rng().Fork()),
-      key_rng_(sim.rng().Fork()),
+    : base_(base), num_clients_(num_clients),
+      arrival_rng_(sim.rng().Fork()), key_rng_(sim.rng().Fork()),
       // Forked last and only on demand, so anonymous generators consume
-      // exactly the legacy fleet's two forks from the root stream.
+      // exactly two forks from the root stream.
       client_rng_(num_clients > 0 ? sim.rng().Fork() : Rng(0)),
       zipf_(base_.key_space, base_.zipf_s > 0.0 ? base_.zipf_s : 0.0),
-      cursor_(sim.Now()) {}
+      start_(sim.Now()), cursor_(sim.Now()) {}
+
+void ArrivalGenerator::Start(SimTime start) {
+  start_ = start;
+  cursor_ = start;
+}
+
+double ArrivalGenerator::SurgeFactorAt(Duration since_start) const {
+  // Piecewise-constant offered rate, sampled when each gap is drawn (at the
+  // previous arrival): windows are short relative to the run, so the edge
+  // error is one inter-arrival gap.
+  double factor = 1.0;
+  for (const ArrivalSurge& s : base_.surges) {
+    if (since_start >= s.at && since_start < s.at + s.duration) {
+      factor = s.factor;
+    }
+  }
+  return factor;
+}
 
 bool ArrivalGenerator::FillWindow(ArrivalBatch& batch, size_t max,
                                   SimTime horizon) {
@@ -21,33 +69,18 @@ bool ArrivalGenerator::FillWindow(ArrivalBatch& batch, size_t max,
   if (exhausted_) {
     return false;
   }
-  // Stage 1: arrival times only — the arrival stream's draws, in the same
-  // order the per-event scheduler would make them.
+  // Stage 1: arrival times only — the arrival stream's draws, one gap per
+  // arrival. Outside every surge the factor is exactly 1.0, so the mean gap
+  // is the base one bit for bit; with no surges it is hoisted.
+  const bool surged = !base_.surges.empty();
+  const double base_mean_gap = 1.0 / base_.arrivals_per_sec;
   while (batch.at.size() < max) {
-    SimTime t;
-    if (mode_ == ArrivalMode::kPoisson) {
-      t = cursor_ + Duration::Seconds(arrival_rng_.Exponential(
-                        1.0 / base_.arrivals_per_sec));
-    } else {
-      // Race the next arrival against the phase's remaining sojourn; on a
-      // phase switch both clocks restart (memoryless), so re-drawing the
-      // arrival in the new phase is exact.
-      for (;;) {
-        if (cursor_ > horizon) {
-          exhausted_ = true;
-          return false;
-        }
-        const MmppPhase& p = phases_[phase_];
-        const double gap_arrival = arrival_rng_.Exponential(1.0 / p.rate);
-        const double gap_switch = arrival_rng_.Exponential(p.mean_sojourn_s);
-        if (gap_arrival <= gap_switch) {
-          t = cursor_ + Duration::Seconds(gap_arrival);
-          break;
-        }
-        cursor_ = cursor_ + Duration::Seconds(gap_switch);
-        phase_ = (phase_ + 1) % phases_.size();
-      }
-    }
+    const double mean_gap =
+        surged ? 1.0 / (base_.arrivals_per_sec *
+                        SurgeFactorAt(cursor_ - start_))
+               : base_mean_gap;
+    const SimTime t =
+        cursor_ + Duration::Seconds(arrival_rng_.Exponential(mean_gap));
     if (t > horizon) {
       // The crossing gap is consumed, matching the per-event scheduler.
       exhausted_ = true;
@@ -57,12 +90,12 @@ bool ArrivalGenerator::FillWindow(ArrivalBatch& batch, size_t max,
     batch.at.push_back(t);
   }
   // Stage 2: per-arrival key + op-kind coin off the key stream. Per
-  // arrival the per-event path draws exactly two uniforms — the Zipf
-  // inversion point, then the coin — so bulk-filling 2n uniforms off the
-  // key block reproduces the stream verbatim. Splitting draw from table
-  // walk lets the Zipf lookups software-pipeline: prefetch the guide row
-  // ~16 arrivals ahead and the cdf midpoint ~8 ahead, both from already-
-  // known inversion points, hiding the 8 MB cdf's cache misses.
+  // arrival the draw order is two uniforms — the Zipf inversion point,
+  // then the coin — so bulk-filling 2n uniforms off the key block
+  // reproduces the stream verbatim. Splitting draw from table walk lets
+  // the Zipf lookups software-pipeline: prefetch the guide row ~16
+  // arrivals ahead and the cdf midpoint ~8 ahead, both from already-known
+  // inversion points, hiding the 8 MB cdf's cache misses.
   const size_t n = batch.at.size();
   batch.key.reserve(n);
   batch.is_read.reserve(n);

@@ -1,23 +1,26 @@
-// Batched arrival generation for the columnar fleet.
+// The open-loop arrival process, generated a window at a time.
 //
-// Fills a structure-of-arrays window (times, keys, op kinds, client ids) in
-// one call instead of drawing per event. The draw discipline preserves the
-// legacy ClientFleet's per-stream sequences exactly: all inter-arrival gaps
-// for the window come off the arrival stream first (the same gaps, in the
-// same order, the per-event path would have drawn one at a time), then each
-// arrival's key and read/write coin come off the key stream in per-arrival
-// order. Because the two streams are independent forks, reordering draws
-// *across* streams — which batching does — cannot change either stream's
-// sequence, so batched arrival times, keys, and op kinds are bit-identical
-// to the per-event path on every seed. The horizon-crossing gap is drawn
-// and consumed, matching the legacy scheduler.
+// Open-loop matters for the paper's argument: a closed-loop client slows
+// down with the service and hides the damage a stutterer does, while an
+// open-loop population (arrivals keep coming at the offered rate regardless
+// of completions) makes a slow replica either shed load or blow its
+// deadline — exactly the over-saturation dynamic of the Gribble DDS
+// anecdote.
 //
-// kMmpp adds a Markov-modulated Poisson process (batched-only, no legacy
-// counterpart): phases cycle round-robin, each holding an arrival rate and
-// a mean sojourn; within a phase the next arrival and the phase's end race
-// as competing exponentials, and losing the race restarts the arrival draw
-// in the next phase (exact for exponentials — memorylessness). All MMPP
-// draws come off the arrival stream.
+// FillWindow fills a structure-of-arrays window (times, keys, op kinds,
+// client ids) in one call. Draw discipline, the determinism contract:
+//   * every inter-arrival gap comes off the arrival stream, one
+//     Exponential per arrival in arrival order, the same discipline
+//     ReplicatedStore (src/workload/dds.h) uses — so a generator built
+//     first on a fresh seeded Simulator issues bit-identical arrival times
+//     to a ReplicatedStore on the same seed (tests/cluster_test.cc pins
+//     this cross-check). The horizon-crossing gap is drawn and consumed;
+//   * each arrival's key and read/write coin come off the key stream, two
+//     uniforms per arrival in arrival order;
+//   * client ids come off a third stream.
+// The streams are independent forks, so batching — which reorders draws
+// *across* streams — cannot change any stream's sequence: arrival times,
+// keys and op kinds do not depend on the window size.
 #ifndef SRC_CLUSTER_FLEET_ARRIVALS_H_
 #define SRC_CLUSTER_FLEET_ARRIVALS_H_
 
@@ -25,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/simcore/arena.h"
 #include "src/simcore/rng.h"
 #include "src/simcore/rng_block.h"
@@ -33,6 +35,36 @@
 #include "src/simcore/time.h"
 
 namespace fst {
+
+// A transient arrival-rate multiplier: over [at, at + duration) from the
+// generator's start, the offered rate is arrivals_per_sec * factor. This is
+// the client half of a retry-storm trigger (chaos SurgeWindows()).
+struct ArrivalSurge {
+  Duration at;
+  Duration duration;
+  double factor = 1.0;
+};
+
+struct FleetParams {
+  double arrivals_per_sec = 300.0;
+  Duration run_for = Duration::Seconds(30.0);
+  // P(read) per op; 1.0 = read-only, 0.0 = write-only.
+  double read_fraction = 1.0;
+  int64_t key_space = 10000;
+  // Zipf skew; <= 0 selects uniform key popularity.
+  double zipf_s = 1.1;
+  // Arrival surges. Outside every window the factor is exactly 1.0, so the
+  // empty default draws the same stream as a surge-free process.
+  std::vector<ArrivalSurge> surges;
+};
+
+// Throws std::invalid_argument for parameters the arrival process cannot
+// run on: a non-positive or non-finite rate (Exponential(1/rate) would
+// divide by zero), a negative horizon, a read fraction outside [0, 1], an
+// empty key space, a non-finite skew, or a surge with a non-positive or
+// non-finite factor or a negative time. run_for == 0 is valid: the process
+// yields no arrivals.
+void ValidateFleetParams(const FleetParams& params);
 
 // One window of generated arrivals, SoA layout. Columns are index-aligned.
 struct ArrivalBatch {
@@ -50,23 +82,26 @@ struct ArrivalBatch {
   }
 };
 
-enum class ArrivalMode { kPoisson, kMmpp };
-
-// One MMPP phase: offered rate while resident, exponential sojourn.
-struct MmppPhase {
-  double rate = 300.0;
-  double mean_sojourn_s = 1.0;
-};
+// The arrival process is Poisson, modulated by FleetParams::surges.
+enum class ArrivalMode { kPoisson };
 
 class ArrivalGenerator {
  public:
-  // Forks the arrival stream first, then the key stream — the exact fork
-  // order (and count, when num_clients == 0) of ClientFleet, so a generator
-  // constructed in its place sees identical streams. A third client-id
-  // stream is forked only when num_clients > 0; it is independent, so the
-  // arrival/key sequences still match the legacy fleet.
-  ArrivalGenerator(Simulator& sim, const FleetParams& base, ArrivalMode mode,
-                   std::vector<MmppPhase> phases, uint32_t num_clients);
+  // Forks the arrival stream, then the key stream, then — only when
+  // num_clients > 0 — the client-id stream. The clock starts at sim.Now();
+  // Start() moves it.
+  ArrivalGenerator(Simulator& sim, const FleetParams& base,
+                   uint32_t num_clients);
+  // The older call shape with an explicit mode and an empty phase list,
+  // which perfbench/fleet_workload.cc still uses. Same generator.
+  struct NoPhases {};
+  ArrivalGenerator(Simulator& sim, const FleetParams& base, ArrivalMode,
+                   NoPhases, uint32_t num_clients)
+      : ArrivalGenerator(sim, base, num_clients) {}
+
+  // Restarts the clock at `start`: the next gap is drawn from there and
+  // surge windows count from there. Call before the first FillWindow.
+  void Start(SimTime start);
 
   // Appends up to `max` arrivals with time <= horizon to `batch` (cleared
   // first). Returns false once the process crossed the horizon: the batch
@@ -81,9 +116,11 @@ class ArrivalGenerator {
   SimTime cursor() const { return cursor_; }
 
  private:
+  // The rate multiplier at `since_start`: the last surge window covering
+  // it wins; 1.0 outside every window.
+  double SurgeFactorAt(Duration since_start) const;
+
   FleetParams base_;
-  ArrivalMode mode_;
-  std::vector<MmppPhase> phases_;
   uint32_t num_clients_;
   // Blockwise wrappers over the forked streams: identical draw sequences
   // to the scalar Rng they own, amortised refills. Each stream is private
@@ -92,10 +129,10 @@ class ArrivalGenerator {
   RngBlock key_rng_;
   RngBlock client_rng_;
   ZipfGenerator zipf_;
+  SimTime start_;
   SimTime cursor_;
   TickArena* arena_ = nullptr;
   std::vector<double> u_scratch_;  // fallback when no arena is attached
-  size_t phase_ = 0;
   bool exhausted_ = false;
 };
 

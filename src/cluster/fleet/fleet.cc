@@ -7,31 +7,14 @@ namespace fst {
 
 namespace {
 
+// Drain-tick cadence once arrivals end: bounds how long after the last
+// completion a run with a `done` callback resolves.
+constexpr Duration kDrainEvery = Duration::Millis(10);
+
 ColumnarFleetParams Validate(ColumnarFleetParams p) {
   ValidateFleetParams(p.base);
-  if (!p.base.surges.empty()) {
-    // ArrivalGenerator draws at the base rate only; silently dropping the
-    // surges would run a different experiment than the one asked for.
-    throw std::invalid_argument(
-        "ColumnarFleet does not support FleetParams.surges");
-  }
   if (p.window < 1) {
     throw std::invalid_argument("ColumnarFleetParams.window must be >= 1");
-  }
-  if (!(p.drain_every > Duration::Zero())) {
-    throw std::invalid_argument(
-        "ColumnarFleetParams.drain_every must be > 0");
-  }
-  if (p.mode == ArrivalMode::kMmpp) {
-    if (p.phases.empty()) {
-      throw std::invalid_argument("kMmpp requires at least one phase");
-    }
-    for (const MmppPhase& ph : p.phases) {
-      if (!(ph.rate > 0.0) || !(ph.mean_sojourn_s > 0.0)) {
-        throw std::invalid_argument(
-            "MmppPhase rate and mean_sojourn_s must be positive");
-      }
-    }
   }
   return p;
 }
@@ -40,9 +23,7 @@ ColumnarFleetParams Validate(ColumnarFleetParams p) {
 
 ColumnarFleet::ColumnarFleet(Simulator& sim, ColumnarFleetParams params)
     : sim_(sim), params_(Validate(std::move(params))),
-      gen_(sim, params_.base, params_.mode, params_.phases,
-           params_.num_clients),
-      seq_(sim) {
+      gen_(sim, params_.base, params_.num_clients), seq_(sim) {
   if (params_.num_clients > 0) {
     tallies_.resize(params_.num_clients);
   }
@@ -54,6 +35,7 @@ void ColumnarFleet::Run(KvService& service,
                         std::function<void(const FleetResult&)> done) {
   service_ = &service;
   done_ = std::move(done);
+  gen_.Start(sim_.Now());
   horizon_ = sim_.Now() + params_.base.run_for;
   seq_.Start(&batch_.at, [this](size_t i) { IssueAt(i); },
              [this] { return Refill(); });
@@ -62,7 +44,6 @@ void ColumnarFleet::Run(KvService& service,
 size_t ColumnarFleet::Refill() {
   gen_.FillWindow(batch_, params_.window, horizon_);
   if (batch_.size() == 0) {
-    arrivals_done_ = true;
     TailTick();
     return 0;
   }
@@ -117,15 +98,13 @@ void ColumnarFleet::IssueAt(size_t i) {
 }
 
 void ColumnarFleet::TailTick() {
-  if (pending_ == 0) {
-    Finish();
+  // The drain tick exists only to resolve `done`: without one, the run
+  // schedules nothing after its last arrival.
+  if (!done_) {
     return;
   }
-  sim_.Schedule(params_.drain_every, [this] { TailTick(); });
-}
-
-void ColumnarFleet::Finish() {
-  if (!done_) {
+  if (pending_ > 0) {
+    sim_.Schedule(kDrainEvery, [this] { TailTick(); });
     return;
   }
   auto cb = std::move(done_);

@@ -1,31 +1,29 @@
-// The columnar open-loop serving front end.
+// The open-loop serving front end.
 //
-// ColumnarFleet is the batched replacement for ClientFleet: arrivals are
-// generated a window at a time into SoA columns (ArrivalGenerator), and one
-// BatchSequencer event walks the window issuing ops against the KvService's
-// slab op table. Terminal outcomes come back inline, through the same
-// per-op callback ClientFleet uses: the service records SLO outcomes at the
+// ColumnarFleet drives a KvService with the arrival process of arrivals.h:
+// arrivals are generated a window at a time into SoA columns
+// (ArrivalGenerator), and one BatchSequencer event walks the window issuing
+// one op per arrival, at its arrival time. Terminal outcomes come back
+// inline through a per-op callback: the service records SLO outcomes at the
 // completing event and the fleet's two-word callback bumps its result and
 // the issuing client's tally, so mid-run SloTracker readers (the burn
-// alerter, verdict samplers) see current counts. A tail tick after
-// arrivals end resolves the run once nothing is pending.
+// alerter, verdict samplers) see current counts.
 //
 // Determinism contract (pinned by tests/fleet_test.cc):
-//   * In kPoisson mode the arrival times, keys, and op kinds are
-//     bit-identical to a ClientFleet on the same seed (see arrivals.h), so
-//     FleetResult counts and the final SloSnapshot/ReportJson match the
-//     legacy per-event path byte for byte. The simulator's fire_digest
-//     differs — the event *structure* is different by design — so the
-//     batched path carries its own pinned digest.
-//   * SLO outcomes are recorded in completion order at completion time,
-//     exactly as under ClientFleet, so even the latency histogram's float
-//     sum matches.
+//   * The sequencer schedules exactly one event per arrival, scheduled
+//     from the previous arrival's event after its op is issued. A run with
+//     no `done` callback therefore adds no event of its own; with `done`,
+//     a drain tick every 10 ms after arrivals end resolves it once nothing
+//     is pending, and those ticks are part of the event order.
+//   * Arrival surges, gaps and the horizon count from Run(), not from
+//     construction, so a fleet may be built early and started later.
 //   * With num_clients > 0 every arrival is attributed to a client drawn
 //     from an independent stream; per-client tallies feed ClientDigest(),
 //     a scale-visible determinism witness for million-client cells.
 //
-// The fleet must be constructed after the KvService on a shared Simulator
-// (it forks the root RNG last), same as ClientFleet.
+// Construct the fleet where the fork order needs it: construction forks
+// two streams off the simulator root (arrival, key), and a third (client
+// ids) only when num_clients > 0.
 #ifndef SRC_CLUSTER_FLEET_FLEET_H_
 #define SRC_CLUSTER_FLEET_FLEET_H_
 
@@ -33,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/arrivals.h"
 #include "src/simcore/arena.h"
@@ -43,18 +40,21 @@
 
 namespace fst {
 
+struct FleetResult {
+  int64_t ops_issued = 0;
+  int64_t reads_issued = 0;
+  int64_t writes_issued = 0;
+  int64_t ops_ok = 0;
+  int64_t ops_failed = 0;  // shed or errored (details in the SloTracker)
+};
+
 struct ColumnarFleetParams {
   FleetParams base;
   // Arrivals generated per refill; the batching grain.
   size_t window = 4096;
-  // 0 = anonymous (bit-parity with ClientFleet's fork count); > 0 models a
-  // population of independent clients whose ids tag every op.
+  // 0 = anonymous (two forks); > 0 models a population of independent
+  // clients whose ids tag every op.
   uint32_t num_clients = 0;
-  ArrivalMode mode = ArrivalMode::kPoisson;
-  std::vector<MmppPhase> phases;  // kMmpp only; cycled round-robin
-  // Tail-tick cadence once arrivals end (bounds how long after the last
-  // completion the run resolves).
-  Duration drain_every = Duration::Millis(10);
 };
 
 // Per-client issue/outcome tallies (num_clients > 0 only).
@@ -66,13 +66,13 @@ struct ClientTally {
 
 class ColumnarFleet {
  public:
-  // Validates params (throws std::invalid_argument; arrival surges are not
-  // supported and rejected) and forks the arrival and key streams in
-  // ClientFleet's order.
+  // Validates params (throws std::invalid_argument) and forks the arrival
+  // and key streams, then the client-id stream when num_clients > 0.
   ColumnarFleet(Simulator& sim, ColumnarFleetParams params);
 
-  // Issues arrivals against `service` until base.run_for elapses, then
-  // resolves `done` once every issued op has completed.
+  // Issues arrivals against `service` until base.run_for elapses. A
+  // non-empty `done` is resolved by the drain tick once every issued op has
+  // completed; with none, read result() after the simulator drains.
   void Run(KvService& service, std::function<void(const FleetResult&)> done);
 
   const FleetResult& result() const { return result_; }
@@ -86,7 +86,6 @@ class ColumnarFleet {
   size_t Refill();
   void IssueAt(size_t i);
   void TailTick();
-  void Finish();
 
   Simulator& sim_;
   ColumnarFleetParams params_;
@@ -100,7 +99,6 @@ class ColumnarFleet {
 
   KvService* service_ = nullptr;
   SimTime horizon_;
-  bool arrivals_done_ = false;
   int64_t pending_ = 0;
   FleetResult result_;
   std::vector<ClientTally> tallies_;

@@ -1,5 +1,6 @@
 #include "src/harness/sweep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -109,7 +110,10 @@ std::vector<CellResult> SweepRunner::Run(const SweepSpec& spec,
                                          const CellFn& fn) const {
   const size_t n = spec.CellCount();
   std::vector<CellResult> results(n);
-  ThreadPool pool(threads_);
+  // No more workers than cells: a large requested count must not start
+  // threads with nothing to run.
+  ThreadPool pool(static_cast<int>(
+      std::min(static_cast<size_t>(threads_), std::max<size_t>(n, 1))));
   // Position-addressed writes: cell i's result goes to results[i] no
   // matter which worker computes it or when it finishes.
   pool.ParallelFor(n, [&spec, &fn, &results](size_t i) {

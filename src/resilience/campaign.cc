@@ -149,7 +149,7 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
   if (cell.group()) {
     cell.group()->Start(end_of_run);
   }
-  cell.fleet().Run(svc, [](const FleetResult&) {});
+  cell.fleet().Run(svc, nullptr);
   sim.Run();
 
   out.fire_digest = sim.fire_digest();

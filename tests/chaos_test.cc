@@ -19,8 +19,8 @@
 #include "src/chaos/campaign.h"
 #include "src/chaos/cell.h"
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/cluster/retry.h"
 #include "src/core/perf_spec.h"
 #include "src/core/policy.h"
@@ -489,7 +489,7 @@ TEST(CrashRecoveryTest, ServiceHealsAfterScriptedCrash) {
   fleet_params.run_for = Duration::Seconds(12.0);
   fleet_params.read_fraction = 0.7;
   fleet_params.key_space = 200;
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fleet_params});
 
   ClusterParams params;
   params.nodes = 4;
@@ -506,13 +506,10 @@ TEST(CrashRecoveryTest, ServiceHealsAfterScriptedCrash) {
   ApplySchedule(sim, svc, schedule, injector);
   svc.StartRecovery(At(18.0));
 
-  bool done = false;
-  FleetResult result;
-  fleet.Run(svc, [&](const FleetResult& r) {
-    done = true;
-    result = r;
-  });
-  RunAndExpect(sim, done);
+  fleet.Run(svc, nullptr);
+  sim.Run();
+  ExpectDrained(fleet, svc);
+  const FleetResult& result = fleet.result();
 
   EXPECT_EQ(svc.crashes(), 1);
   EXPECT_EQ(svc.recoveries(), 1);
@@ -547,7 +544,7 @@ TEST(CrashRecoveryTest, RepairIndexCoversLedgerUnderFlapsAndEjections) {
   fleet_params.run_for = Duration::Seconds(14.0);
   fleet_params.read_fraction = 0.6;
   fleet_params.key_space = 300;
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fleet_params});
 
   ClusterParams params;
   params.nodes = 4;
@@ -573,14 +570,14 @@ TEST(CrashRecoveryTest, RepairIndexCoversLedgerUnderFlapsAndEjections) {
   });
   svc.StartRecovery(At(20.0));
 
-  bool done = false;
-  fleet.Run(svc, [&](const FleetResult&) { done = true; });
+  fleet.Run(svc, nullptr);
   for (int slice = 1; slice <= 44; ++slice) {
     const double t = 0.5 * slice;
     sim.RunUntil(At(t));
     EXPECT_TRUE(svc.RepairIndexCovers()) << "t=" << t << "s";
   }
-  RunAndExpect(sim, done);
+  sim.Run();
+  ExpectDrained(fleet, svc);
   EXPECT_TRUE(svc.RepairIndexCovers());
 
   EXPECT_GE(svc.crashes(), 5);
@@ -599,7 +596,7 @@ std::vector<std::string> ScriptedCrashViolations(ClusterParams params) {
   fleet_params.run_for = Duration::Seconds(8.0);
   fleet_params.read_fraction = 0.5;
   fleet_params.key_space = 200;
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fleet_params});
   params.nodes = 4;
   params.retry.enabled = true;
   params.retry.deadline = Duration::Millis(800);
@@ -609,10 +606,9 @@ std::vector<std::string> ScriptedCrashViolations(ClusterParams params) {
   ApplySchedule(sim, svc, ParseDsl("crash node=1 at=4s down=1500ms"),
                 injector);
   svc.StartRecovery(At(16.0));
-  bool done = false;
-  fleet.Run(svc, [&](const FleetResult&) { done = true; });
+  fleet.Run(svc, nullptr);
   sim.Run();
-  EXPECT_TRUE(done);
+  ExpectDrained(fleet, svc);
   std::vector<std::string> violations;
   CheckRobustness(svc, violations);
   return violations;
@@ -673,13 +669,13 @@ E23Outcome RunE23Arm(bool with_recovery, bool with_crash) {
   write_phase.read_fraction = 0.0;
   write_phase.key_space = 250;
   write_phase.zipf_s = 0.0;  // uniform: every key gets written w.h.p.
-  ClientFleet writers(sim, write_phase);
+  ColumnarFleet writers(sim, ColumnarFleetParams{write_phase});
 
   FleetParams read_phase = write_phase;
   read_phase.arrivals_per_sec = 300.0;
   read_phase.run_for = Duration::Seconds(25.0);
   read_phase.read_fraction = 1.0;
-  ClientFleet readers(sim, read_phase);
+  ColumnarFleet readers(sim, ColumnarFleetParams{read_phase});
 
   ClusterParams params;
   params.nodes = 4;
@@ -722,11 +718,15 @@ E23Outcome RunE23Arm(bool with_recovery, bool with_crash) {
   sim.ScheduleAt(At(24.0), [&] { g24 = svc.slo().goodput(); });
   sim.ScheduleAt(At(29.0), [&] { g29 = svc.slo().goodput(); });
 
-  bool done = false;
+  // The writers' `done` chains the phases: its drain tick (10 ms cadence)
+  // starts the readers once every write has completed.
+  bool reading = false;
   writers.Run(svc, [&](const FleetResult&) {
-    readers.Run(svc, [&](const FleetResult&) { done = true; });
+    reading = true;
+    readers.Run(svc, nullptr);
   });
-  RunAndExpect(sim, done);
+  RunAndExpect(sim, reading);
+  ExpectDrained(readers, svc);
 
   out.prefault_rate = static_cast<double>(g10 - g6) / 4.0;
   out.recovered_rate = static_cast<double>(g29 - g24) / 5.0;

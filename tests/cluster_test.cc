@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/cluster/selector.h"
 #include "src/devices/modulators.h"
 #include "src/faults/catalog.h"
@@ -354,7 +354,7 @@ ServeOut RunServe(const ServeConfig& cfg) {
   fp.run_for = Duration::Seconds(cfg.seconds);
   fp.read_fraction = 1.0;
   fp.zipf_s = 0.0;  // uniform keys keep the closed form clean
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
 
   ClusterParams cp;
   cp.nodes = 4;
@@ -380,10 +380,9 @@ ServeOut RunServe(const ServeConfig& cfg) {
     sim.ScheduleAt(cfg.crash_at, [&svc]() { svc.node(0)->FailStop(); });
   }
 
-  bool finished = false;
-  fleet.Run(svc, [&](const FleetResult&) { finished = true; });
+  fleet.Run(svc, nullptr);
   sim.Run();
-  EXPECT_TRUE(finished) << "fleet did not drain";
+  ExpectDrained(fleet, svc);
 
   ServeOut out;
   out.arrivals = svc.slo().arrivals();
@@ -538,7 +537,7 @@ TEST(ClusterHedgeTest, HedgedReadsEngageAndReconcile) {
   fp.arrivals_per_sec = cfg.lambda;
   fp.run_for = Duration::Seconds(cfg.seconds);
   fp.zipf_s = 0.0;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
   ClusterParams cp;
   cp.nodes = 4;
   cp.route = RouteMode::kQueueWeighted;
@@ -547,9 +546,9 @@ TEST(ClusterHedgeTest, HedgedReadsEngageAndReconcile) {
   KvService svc(sim, cp, MakePolicy(2));
   svc.node(0)->AttachModulator(
       std::make_shared<ConstantFactorModulator>(cfg.slow_factor));
-  bool finished = false;
-  fleet.Run(svc, [&](const FleetResult&) { finished = true; });
-  RunAndExpect(sim, finished);
+  fleet.Run(svc, nullptr);
+  sim.Run();
+  ExpectDrained(fleet, svc);
 
   EXPECT_GT(svc.hedge_stats().operations, 0);
   EXPECT_GT(svc.hedge_stats().hedges_launched, 0);
@@ -630,7 +629,7 @@ ParityOut RunClusterParity(uint64_t seed, double rate, double secs,
   fp.run_for = Duration::Seconds(secs);
   fp.read_fraction = 0.0;  // puts only, like the DDS workload
   fp.zipf_s = 0.0;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
 
   ClusterParams cp;
   cp.nodes = 2;
@@ -645,14 +644,10 @@ ParityOut RunClusterParity(uint64_t seed, double rate, double secs,
     svc.node(1)->AttachModulator(MakeGarbageCollector(
         sim.rng().Fork(), Duration::Seconds(1.0), Duration::Millis(100)));
   }
-  bool finished = false;
-  FleetResult fleet_result;
-  fleet.Run(svc, [&](const FleetResult& r) {
-    finished = true;
-    fleet_result = r;
-  });
-  RunAndExpect(sim, finished);
-  return {fleet_result.ops_issued, svc.slo().acks()};
+  fleet.Run(svc, nullptr);
+  sim.Run();
+  ExpectDrained(fleet, svc);
+  return {fleet.result().ops_issued, svc.slo().acks()};
 }
 
 ParityOut RunDdsParity(uint64_t seed, double rate, double secs,

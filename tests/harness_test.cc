@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -239,6 +240,39 @@ TEST(SweepRunnerTest, CellExceptionPropagates) {
                                     return {};
                                   }),
                std::runtime_error);
+}
+
+// The process's thread count, from /proc/self/status (-1 if unreadable).
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+TEST(SweepRunnerTest, StartsNoMoreWorkersThanCells) {
+  SweepSpec spec;
+  spec.name = "two_cells";
+  spec.axes = {{"x", {0, 1}, {}}};
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  std::atomic<int> seen{0};
+  const auto results =
+      SweepRunner(64).Run(spec, [&seen](const CellPoint&) -> CellResult {
+        const int now = ProcessThreads();
+        int prev = seen.load();
+        while (now > prev && !seen.compare_exchange_weak(prev, now)) {
+        }
+        return {};
+      });
+  ASSERT_EQ(results.size(), 2u);
+  // Two workers for two cells, plus one for a runtime helper thread (a
+  // sanitizer's), not one per requested thread.
+  EXPECT_LE(seen.load() - before, 3);
 }
 
 TEST(SweepRunnerTest, ThreadsFromEnvHonorsOverride) {

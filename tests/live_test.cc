@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "src/chaos/campaign.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
 #include "src/faults/injector.h"
 #include "src/obs/correlator.h"
@@ -581,7 +581,7 @@ TEST(GrayStutterStudyTest, SubThresholdStutterIsScoredNotDetected) {
   FleetParams fp;
   fp.arrivals_per_sec = 300.0;
   fp.run_for = Duration::Seconds(12.0);
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
 
   ClusterParams cp;
   cp.live.enabled = true;
@@ -596,7 +596,7 @@ TEST(GrayStutterStudyTest, SubThresholdStutterIsScoredNotDetected) {
 
   const SimTime end_of_run = At(13.0);
   svc.StartTelemetry(end_of_run);
-  fleet.Run(svc, [](const FleetResult&) {});
+  fleet.Run(svc, nullptr);
   sim.Run();
 
   ASSERT_NE(svc.live(), nullptr);

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
 #include "src/devices/disk.h"
 #include "src/faults/injector.h"
@@ -251,7 +251,7 @@ TelemetryCellRun RunTelemetryCell(size_t capacity) {
   fleet_params.run_for = Duration::Seconds(6.0);
   fleet_params.read_fraction = 0.7;
   fleet_params.key_space = 100;
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fleet_params});
   ClusterParams params;
   params.nodes = 4;
   params.write_quorum = 2;
@@ -269,7 +269,7 @@ TelemetryCellRun RunTelemetryCell(size_t capacity) {
   const SimTime end = At(9.0);
   svc.StartRecovery(end);
   svc.StartTelemetry(end);
-  fleet.Run(svc, [](const FleetResult&) {});
+  fleet.Run(svc, nullptr);
   sim.Run();
   return {rec.FaultLog(), sim.fire_digest(), rec.total_recorded()};
 }

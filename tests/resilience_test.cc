@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/cluster/retry.h"
 #include "src/core/policy.h"
 #include "src/faults/injector.h"
@@ -211,11 +211,11 @@ SurgeRun RunWithSurges(const std::vector<ArrivalSurge>& surges) {
   fp.run_for = Duration::Seconds(10.0);
   fp.read_fraction = 1.0;
   fp.surges = surges;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
   ClusterParams cp;
   cp.nodes = 4;
   KvService svc(sim, cp, std::make_unique<ProportionalSharePolicy>());
-  fleet.Run(svc, [](const FleetResult&) {});
+  fleet.Run(svc, nullptr);
   sim.Run();
   return {sim.fire_digest(), svc.slo().arrivals()};
 }
@@ -320,7 +320,7 @@ TEST(RetryBudgetTest, SurfacesInSloSnapshot) {
 
 struct EngineHarness {
   Simulator sim;
-  ClientFleet fleet;
+  ColumnarFleet fleet;
   KvService svc;
   FaultInjector injector;
 
@@ -328,11 +328,11 @@ struct EngineHarness {
       : sim(seed),
         fleet(sim,
               [&] {
-                FleetParams fp;
-                fp.arrivals_per_sec = arrivals;
-                fp.run_for = Duration::Seconds(20.0);
-                fp.read_fraction = 0.5;
-                return fp;
+                ColumnarFleetParams p;
+                p.base.arrivals_per_sec = arrivals;
+                p.base.run_for = Duration::Seconds(20.0);
+                p.base.read_fraction = 0.5;
+                return p;
               }()),
         svc(sim,
             [&] {
@@ -354,7 +354,7 @@ struct EngineHarness {
     svc.StartRecovery(end);
     svc.StartTelemetry(end);
     engine.Start(At(20.0));
-    fleet.Run(svc, [](const FleetResult&) {});
+    fleet.Run(svc, nullptr);
     sim.Run();
   }
 };
@@ -445,7 +445,7 @@ TEST(NmrTest, FanoutReachesQuorumAndStrideGates) {
     fp.arrivals_per_sec = 150.0;
     fp.run_for = Duration::Seconds(5.0);
     fp.read_fraction = 1.0;
-    ClientFleet fleet(sim, fp);
+    ColumnarFleet fleet(sim, ColumnarFleetParams{fp});
     ClusterParams cp;
     cp.nodes = 4;
     cp.shard.replication = 2;
@@ -454,7 +454,7 @@ TEST(NmrTest, FanoutReachesQuorumAndStrideGates) {
     cp.nmr.quorum = 1;
     cp.nmr.key_stride = stride;
     KvService svc(sim, cp, std::make_unique<ProportionalSharePolicy>());
-    fleet.Run(svc, [](const FleetResult&) {});
+    fleet.Run(svc, nullptr);
     sim.Run();
     struct {
       int64_t reads, acks, slo_acks;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/simcore/simulator.h"
 
 namespace fst {
@@ -13,6 +15,14 @@ namespace fst {
 inline void RunAndExpect(Simulator& sim, const bool& flag) {
   sim.Run();
   ASSERT_TRUE(flag) << "workload did not complete";
+}
+
+// Conservation after a fleet run with no `done` has drained: every issued
+// op reached a terminal outcome and the service holds none in flight.
+inline void ExpectDrained(const ColumnarFleet& fleet, const KvService& svc) {
+  const FleetResult& r = fleet.result();
+  EXPECT_EQ(r.ops_issued, r.ops_ok + r.ops_failed) << "fleet did not drain";
+  EXPECT_EQ(svc.in_flight_ops(), 0u) << "ops still in flight";
 }
 
 }  // namespace fst
